@@ -59,16 +59,12 @@ std::vector<std::uint64_t> Histogram::latency_bounds_ns() {
   return exponential_bounds(1000, 2.0, 27);
 }
 
-void Histogram::record(std::uint64_t value) noexcept {
-  if constexpr (!kMetricsCompiledIn) {
-    (void)value;
-    return;
-  }
+void Histogram::record(std::uint64_t value, std::uint64_t times) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  counts_[idx].fetch_add(times, std::memory_order_relaxed);
+  count_.fetch_add(times, std::memory_order_relaxed);
+  sum_.fetch_add(value * times, std::memory_order_relaxed);
 }
 
 double Histogram::mean() const noexcept {

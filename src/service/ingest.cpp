@@ -1,9 +1,11 @@
 #include "service/ingest.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 
 #include "common/arena.hpp"
+#include "common/logging.hpp"
 #include "service/batch_sync.hpp"
 
 namespace dpisvc::service {
@@ -20,16 +22,15 @@ struct IngestBatch {
   std::vector<ScanItem> items;
   std::vector<std::uint64_t> refs;
   std::vector<dpi::ScanResult> results;
-  // Counting-sort partition: order[offsets[s] .. offsets[s+1]) lists shard
-  // s's item indices in submission order.
-  std::vector<std::uint32_t> shard_of;
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> cursor;
+  ShardPartition partition;
   /// Outstanding shard jobs; the producer observes completion via
   /// all_done()'s acquire load of 0, pairing with each job's release
-  /// decrement, which makes every result write visible before delivery.
+  /// decrement, which makes every result write (and a captured error)
+  /// visible before delivery.
   BatchPending<> pending;
+  /// What a shard job threw; delivery rethrows it instead of handing the
+  /// sink a half-scanned batch.
+  JobError error;
   /// Arena recycle gate: one lease per live BatchHandle. The producer
   /// resets the arena only after idle() — see service/batch_sync.hpp for
   /// the ordering argument; dpisvc_mc explores both counters (DESIGN.md §7).
@@ -46,14 +47,15 @@ struct IngestBatch {
 namespace {
 
 /// ScanPool::JobFn for one (batch, shard) pair: scan the shard's bucket,
-/// then publish completion.
+/// then publish completion — also when the scan threw.
 void batch_scan_job(void* ctx, std::size_t shard) {
   auto* batch = static_cast<IngestBatch*>(ctx);
-  const std::uint32_t begin = batch->offsets[shard];
-  const std::uint32_t end = batch->offsets[shard + 1];
-  batch->instance->scan_bucket(shard, batch->items,
-                               batch->order.data() + begin, end - begin,
-                               batch->results);
+  batch->error.guard([&] {
+    batch->instance->scan_bucket(shard, batch->items.data(),
+                                 batch->partition.bucket(shard),
+                                 batch->partition.size(shard),
+                                 batch->results.data());
+  });
   batch->pending.complete_one();
 }
 
@@ -121,11 +123,17 @@ IngestPipeline::IngestPipeline(DpiInstance& instance, Sink sink,
 }
 
 IngestPipeline::~IngestPipeline() {
-  try {
-    drain();
-  } catch (...) {
-    // A throwing sink during teardown: results are lost, but the shard
-    // workers have finished with every batch, so destruction stays safe.
+  // A throwing sink or a failed batch ends drain() early with batches still
+  // in flight; keep draining until the shard workers are done with all of
+  // them, so destruction never frees a batch a job still scans.
+  for (;;) {
+    try {
+      drain();
+      return;
+    } catch (...) {
+      log(LogLevel::kWarn, "ingest",
+          "a batch failed during teardown; its results are lost");
+    }
   }
 }
 
@@ -185,8 +193,7 @@ bool IngestPipeline::acquire_batch() {
     // kBlock: backpressure. Wait for the oldest batch's shard workers; its
     // delivery at the top of the loop frees a slot. Counted once per stall
     // episode through the same counter the pool's ring-full waits use.
-    const IngestInstruments& obs = instance_.ingest_instruments();
-    if (obs.blocked != nullptr) obs.blocked->add(1);
+    instance_.ingest_instruments().blocked->add(1);
     while (!inflight_.front()->pending.all_done()) {
       std::this_thread::yield();
     }
@@ -204,8 +211,7 @@ bool IngestPipeline::push_impl(dpi::ChainId chain, const net::FiveTuple& flow,
   deliver_ready();  // opportunistic: keep sink latency low, slots free
   if (current_ == nullptr && !acquire_batch()) {
     ++shed_;
-    const IngestInstruments& obs = instance_.ingest_instruments();
-    if (obs.shed != nullptr) obs.shed->add(1);
+    instance_.ingest_instruments().shed->add(1);
     return false;
   }
   ScanItem item;
@@ -228,49 +234,32 @@ void IngestPipeline::flush_impl() {
   if (current_ == nullptr || current_->items.empty()) return;
   std::shared_ptr<IngestBatch> batch = std::move(current_);
 
-  // Stable counting sort by shard — identical to the synchronous
-  // scan_batch() partition, so per-flow submission order survives.
+  // The same partition as scan_batch(), so per-flow submission order
+  // survives.
   const std::size_t n = batch->items.size();
   const std::size_t num_shards = instance_.num_shards();
-  batch->shard_of.resize(n);
-  batch->offsets.assign(num_shards + 1, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto s =
-        static_cast<std::uint32_t>(instance_.shard_of_flow(batch->items[i].flow));
-    batch->shard_of[i] = s;
-    ++batch->offsets[s + 1];
-  }
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    batch->offsets[s + 1] += batch->offsets[s];
-  }
-  batch->cursor.assign(batch->offsets.begin(), batch->offsets.end() - 1);
-  batch->order.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    batch->order[batch->cursor[batch->shard_of[i]]++] = i;
-  }
-
+  batch->partition.build(instance_, n,
+                         [&](std::size_t i) -> const net::FiveTuple& {
+                           return batch->items[i].flow;
+                         });
   batch->results.clear();
   batch->results.resize(n);
   std::uint32_t jobs = 0;
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (batch->offsets[s + 1] > batch->offsets[s]) ++jobs;
+    if (batch->partition.size(s) != 0) ++jobs;
   }
   // Armed before any submit; the pool's hand-off orders it for the workers.
   batch->pending.arm(jobs);
 
   const IngestInstruments& obs = instance_.ingest_instruments();
-  if (obs.batch_packets != nullptr) {
-    obs.batch_packets->record(n);
-    obs.batch_bytes->record(batch->arena.bytes_used());
-  }
+  obs.batch_packets->record(n);
+  obs.batch_bytes->record(batch->arena.bytes_used());
 
   inflight_.push_back(batch);
   ++flushed_;
-  if (obs.batches_in_flight != nullptr) {
-    obs.batches_in_flight->set(static_cast<std::int64_t>(inflight_.size()));
-  }
+  obs.batches_in_flight->set(static_cast<std::int64_t>(inflight_.size()));
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (batch->offsets[s + 1] == batch->offsets[s]) continue;
+    if (batch->partition.size(s) == 0) continue;
     // Blocking on a full ring here is deliberate: shedding happens at batch
     // admission only, so every submitted batch runs to completion.
     instance_.scan_pool().submit_blocking(s, &batch_scan_job, batch.get(), s);
@@ -282,15 +271,15 @@ std::size_t IngestPipeline::deliver_ready() {
   while (!inflight_.empty() && inflight_.front()->pending.all_done()) {
     std::shared_ptr<IngestBatch> batch = std::move(inflight_.front());
     inflight_.pop_front();
+    instance_.ingest_instruments().batches_in_flight->set(
+        static_cast<std::int64_t>(inflight_.size()));
+    if (std::exception_ptr error = batch->error.take()) {
+      recycle(std::move(batch));
+      std::rethrow_exception(error);
+    }
     delivered += batch->items.size();
     if (sink_) sink_(BatchHandle(batch));
     recycle(std::move(batch));
-  }
-  if (delivered != 0) {
-    const IngestInstruments& obs = instance_.ingest_instruments();
-    if (obs.batches_in_flight != nullptr) {
-      obs.batches_in_flight->set(static_cast<std::int64_t>(inflight_.size()));
-    }
   }
   return delivered;
 }

@@ -17,7 +17,10 @@
 //             batches), pending = #jobs
 //   push()/flush()/drain() deliver completed batches to the sink strictly
 //   in submission order; the arena is recycled once the sink returns and
-//   every BatchHandle lease is gone.
+//   every BatchHandle lease is gone. A batch whose shard job threw (an
+//   unknown chain, no engine loaded) is not handed to the sink: the call
+//   that would deliver it rethrows the exception instead, and the batches
+//   behind it stay queued, in order, for the next push/poll/drain.
 //
 // Backpressure (the bounded-queue fix): at most max_batches batches exist
 // at once — in-flight, free, or being filled — so ingest memory is bounded
@@ -113,15 +116,16 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Drains: every accepted packet is scanned and delivered before
-  /// destruction completes.
+  /// Drains: every accepted packet is scanned and delivered (or dropped
+  /// with its failed batch) before destruction completes.
   ~IngestPipeline();
 
   /// Stages one packet: copies `payload` into the batch arena (the ingest
   /// path's single copy) and records (chain, flow, packet_ref). Returns
   /// false iff the packet was shed (kShed policy with every batch slot
   /// busy); a false return means this packet will never produce a result.
-  /// May deliver earlier completed batches to the sink before returning.
+  /// May deliver earlier completed batches to the sink before returning,
+  /// and so may rethrow what a failed batch threw (see the header comment).
   bool push(dpi::ChainId chain, const net::FiveTuple& flow, BytesView payload,
             std::uint64_t packet_ref = 0);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/invariant.hpp"
 #include "common/logging.hpp"
@@ -10,9 +11,54 @@
 
 namespace dpisvc::service {
 
+namespace {
+
+/// Registry names of DpiInstance::Count, in enum order: shard<i>.<name>.
+constexpr const char* kCountNames[] = {
+    "packets",       "bytes",         "raw_hits",
+    "anchor_hits",   "regex_evals",   "regex_matches",
+    "match_packets", "result_bytes",  "pass_through",
+    "decompressed_packets", "decompressed_bytes", "reassembly_held",
+    "defrag_held",   "flow_evictions",
+};
+
+/// Positions 0..kMaxRun-1: a staged window's items are dense.
+constexpr auto kIdentity = [] {
+  std::array<std::uint32_t, DpiInstance::kMaxRun> a{};
+  for (std::uint32_t i = 0; i < a.size(); ++i) a[i] = i;
+  return a;
+}();
+
+/// The resume state of a stateless scan.
+const dpi::FlowCursor kNoCursor{};
+
+net::MatchReport build_report(dpi::ChainId chain, std::uint64_t packet_ref,
+                              const dpi::ScanResult& scan) {
+  net::MatchReport report;
+  report.policy_chain_id = chain;
+  report.packet_ref = packet_ref;
+  for (const dpi::MiddleboxMatches& m : scan.matches) {
+    if (m.entries.empty()) continue;
+    report.sections.push_back(net::MiddleboxSection{m.middlebox, m.entries});
+  }
+  return report;
+}
+
+/// A stored cursor must index a state of the shard's *current* engine; a
+/// cursor exported before a hot swap landed would resume the DFA from an
+/// arbitrary (possibly out-of-range) state. The controller prevents this by
+/// matching engine versions, but the instance still refuses rather than
+/// trusting its caller.
+bool cursor_fits_engine(const dpi::FlowCursor& cursor,
+                        const dpi::Engine* engine) {
+  if (!cursor.valid) return false;  // nothing worth storing
+  return engine != nullptr && cursor.dfa_state < engine->num_automaton_states();
+}
+
+}  // namespace
+
 ScanPool::Instruments DpiInstance::make_pool_instruments(
     obs::MetricsRegistry& metrics, const InstanceConfig& config) {
-  if (!config.metrics) return ScanPool::Instruments();
   ScanPool::Instruments ins;
   ins.queue_wait_ns = &metrics.histogram("pool.queue_wait_ns",
                                          obs::Histogram::latency_bounds_ns());
@@ -44,18 +90,17 @@ DpiInstance::DpiInstance(std::string name, InstanceConfig config)
       pool_(std::max<std::size_t>(config.num_workers, 1),
             config.queue_capacity, config.overload,
             make_pool_instruments(metrics_, config)) {
-  if (config.metrics) {
-    ingest_obs_.shed = &metrics_.counter("ingest.backpressure.shed");
-    // Same counter the pool's blocked instrument points at (the registry
-    // returns the existing entry): kept here so stats_json can read it.
-    ingest_obs_.blocked = &metrics_.counter("ingest.backpressure.blocked");
-    ingest_obs_.batch_packets = &metrics_.histogram(
-        "ingest.batch_packets", obs::Histogram::linear_bounds(8, 32));
-    ingest_obs_.batch_bytes = &metrics_.histogram(
-        "ingest.batch_bytes",
-        obs::Histogram::exponential_bounds(1024, 2.0, 16));
-    ingest_obs_.batches_in_flight = &metrics_.gauge("ingest.batches_in_flight");
-  }
+  ingest_obs_.shed = &metrics_.counter("ingest.backpressure.shed");
+  // Same counter the pool's blocked instrument points at (the registry
+  // returns the existing entry): kept here so stats_json can read it.
+  ingest_obs_.blocked = &metrics_.counter("ingest.backpressure.blocked");
+  ingest_obs_.batch_packets = &metrics_.histogram(
+      "ingest.batch_packets", obs::Histogram::linear_bounds(8, 32));
+  ingest_obs_.batch_bytes = &metrics_.histogram(
+      "ingest.batch_bytes", obs::Histogram::exponential_bounds(1024, 2.0, 16));
+  ingest_obs_.batches_in_flight = &metrics_.gauge("ingest.batches_in_flight");
+
+  static_assert(std::size(kCountNames) == kNumCounts);
   const std::size_t num_shards = std::max<std::size_t>(config.num_workers, 1);
   const std::size_t per_shard =
       std::max<std::size_t>(config.max_flows / num_shards, 1);
@@ -64,42 +109,15 @@ DpiInstance::DpiInstance(std::string name, InstanceConfig config)
     auto shard =
         std::make_unique<Shard>(per_shard, config.reassembly, config.defrag);
     shard->index = static_cast<std::uint32_t>(i);
-    if (config.metrics) {
-      // Resolve instruments once; the scan path records through these
-      // pointers without ever touching the registry mutex.
-      const std::string p = "shard" + std::to_string(i) + ".";
-      ShardInstruments& o = shard->obs;
-      o.scan_ns =
-          &metrics_.histogram(p + "scan_ns", obs::Histogram::latency_bounds_ns());
-      o.packets = &metrics_.counter(p + "packets");
-      o.bytes = &metrics_.counter(p + "bytes");
-      o.raw_hits = &metrics_.counter(p + "raw_hits");
-      o.anchor_hits = &metrics_.counter(p + "anchor_hits");
-      o.regex_evals = &metrics_.counter(p + "regex_evals");
-      o.regex_matches = &metrics_.counter(p + "regex_matches");
-      o.flow_evictions = &metrics_.counter(p + "flow_evictions");
-      o.flow_occupancy = &metrics_.gauge(p + "flow_occupancy");
-      o.reassembly_dropped = &metrics_.counter(p + "reassembly.dropped_segments");
-      o.reassembly_duplicate_bytes =
-          &metrics_.counter(p + "reassembly.duplicate_bytes");
-      o.reassembly_ambiguous =
-          &metrics_.counter(p + "reassembly.ambiguous_overlaps");
-      o.reassembly_conflicting_bytes =
-          &metrics_.counter(p + "reassembly.conflicting_overlap_bytes");
-      o.reassembly_stream_evictions =
-          &metrics_.counter(p + "reassembly.stream_evictions");
-      o.reassembly_streams_closed =
-          &metrics_.counter(p + "reassembly.streams_closed");
-      o.reassembly_ignored_fins =
-          &metrics_.counter(p + "reassembly.ignored_fins");
-      o.reassembly_ignored_rsts =
-          &metrics_.counter(p + "reassembly.ignored_rsts");
-      o.defrag_fragments = &metrics_.counter(p + "defrag.fragments");
-      o.defrag_completed = &metrics_.counter(p + "defrag.datagrams_completed");
-      o.defrag_rejected = &metrics_.counter(p + "defrag.rejected");
-      o.defrag_ambiguous = &metrics_.counter(p + "defrag.ambiguous_fragments");
-      o.defrag_evicted = &metrics_.counter(p + "defrag.evicted_incomplete");
+    // Resolve instruments once; the stages record through these pointers
+    // without ever touching the registry mutex.
+    const std::string p = "shard" + std::to_string(i) + ".";
+    for (std::size_t c = 0; c < kNumCounts; ++c) {
+      shard->counters[c] = &metrics_.counter(p + kCountNames[c]);
     }
+    shard->scan_ns =
+        &metrics_.histogram(p + "scan_ns", obs::Histogram::latency_bounds_ns());
+    shard->flow_occupancy = &metrics_.gauge(p + "flow_occupancy");
     shards_.push_back(std::move(shard));
   }
 }
@@ -143,25 +161,6 @@ std::shared_ptr<const dpi::Engine> DpiInstance::engine_snapshot() const {
   return engine_;
 }
 
-namespace {
-
-void accumulate(InstanceTelemetry& into, const InstanceTelemetry& from) {
-  into.packets += from.packets;
-  into.bytes += from.bytes;
-  into.raw_hits += from.raw_hits;
-  into.match_packets += from.match_packets;
-  into.result_bytes += from.result_bytes;
-  into.pass_through += from.pass_through;
-  into.decompressed_packets += from.decompressed_packets;
-  into.decompressed_bytes += from.decompressed_bytes;
-  into.reassembly_held += from.reassembly_held;
-  into.defrag_held += from.defrag_held;
-  into.flow_evictions += from.flow_evictions;
-  into.busy_seconds += from.busy_seconds;
-}
-
-}  // namespace
-
 net::ReassemblyStats DpiInstance::reassembly_stats() const {
   net::ReassemblyStats total;
   for (const auto& shard : shards_) {
@@ -196,12 +195,28 @@ net::DefragStats DpiInstance::defrag_stats() const {
 }
 
 InstanceTelemetry DpiInstance::telemetry() const {
-  InstanceTelemetry total;
+  std::array<std::uint64_t, kNumCounts> n{};
+  std::uint64_t busy_ns = 0;
   for (const auto& shard : shards_) {
-    const MutexLock lock(shard->mu);
-    accumulate(total, shard->telemetry);
+    for (std::size_t c = 0; c < kNumCounts; ++c) {
+      n[c] += shard->counters[c]->value();
+    }
+    busy_ns += shard->scan_ns->sum();
   }
-  return total;
+  InstanceTelemetry t;
+  t.packets = n[kPackets];
+  t.bytes = n[kBytes];
+  t.raw_hits = n[kRawHits];
+  t.match_packets = n[kMatchPackets];
+  t.result_bytes = n[kResultBytes];
+  t.pass_through = n[kPassThrough];
+  t.decompressed_packets = n[kDecompressedPackets];
+  t.decompressed_bytes = n[kDecompressedBytes];
+  t.reassembly_held = n[kReassemblyHeld];
+  t.defrag_held = n[kDefragHeld];
+  t.flow_evictions = n[kFlowEvictions];
+  t.busy_seconds = static_cast<double>(busy_ns) * 1e-9;
+  return t;
 }
 
 std::map<dpi::ChainId, ChainTelemetry> DpiInstance::chain_telemetry() const {
@@ -214,22 +229,6 @@ std::map<dpi::ChainId, ChainTelemetry> DpiInstance::chain_telemetry() const {
       into.bytes += counters.bytes;
       into.raw_hits += counters.raw_hits;
     }
-  }
-  return total;
-}
-
-InstanceTelemetry DpiInstance::reset_telemetry() {
-  // Snapshot-and-reset shard by shard, each under its own mutex: a packet
-  // being scanned concurrently lands either in the returned snapshot or in
-  // the counters after the reset — never in both, never in neither. The
-  // previous wipe-only variant silently discarded the residual counts, so a
-  // windowed consumer racing the scanners could not account for them.
-  InstanceTelemetry total;
-  for (auto& shard : shards_) {
-    const MutexLock lock(shard->mu);
-    accumulate(total, shard->telemetry);
-    shard->telemetry = InstanceTelemetry{};
-    shard->chain_telemetry.clear();
   }
   return total;
 }
@@ -290,12 +289,10 @@ json::Value DpiInstance::stats_json() const {
       json::Value(std::string(overload_policy_name(config_.overload)));
   ingest["queue_capacity"] =
       json::Value(static_cast<std::uint64_t>(config_.queue_capacity));
-  if (ingest_obs_.shed != nullptr) {
-    ingest["backpressure_blocked"] = json::Value(ingest_obs_.blocked->value());
-    ingest["backpressure_shed"] = json::Value(ingest_obs_.shed->value());
-    ingest["batches_in_flight"] =
-        json::Value(ingest_obs_.batches_in_flight->value());
-  }
+  ingest["backpressure_blocked"] = json::Value(ingest_obs_.blocked->value());
+  ingest["backpressure_shed"] = json::Value(ingest_obs_.shed->value());
+  ingest["batches_in_flight"] =
+      json::Value(ingest_obs_.batches_in_flight->value());
   root["ingest"] = json::Value(std::move(ingest));
 
   json::Object chains;
@@ -334,421 +331,375 @@ std::vector<net::FiveTuple> DpiInstance::active_flow_keys() const {
   return out;
 }
 
-dpi::ScanResult DpiInstance::scan(dpi::ChainId chain,
-                                  const net::FiveTuple& flow,
-                                  BytesView payload) {
-  Shard& shard = shard_of(flow);
-  if (trace_.enabled()) {
-    trace_.record(obs::TraceEvent::kShardDispatch, flow.canonical().hash(), 0,
-                  payload.size(), shard.index, chain);
-  }
-  const MutexLock lock(shard.mu);
-  return scan_on_shard(shard, chain, flow, payload);
-}
+// --- entry points ------------------------------------------------------------
 
-namespace {
-
-/// Context threaded through ScanPool::JobFn for one batched dispatch: the
-/// job for shard s covers index range order[offsets[s] .. offsets[s+1]).
-/// A plain struct on the dispatcher's stack — the old path heap-allocated a
-/// std::function closure per shard per batch.
-struct BatchScanCtx {
-  DpiInstance* self;
-  const std::vector<ScanItem>* items;
-  std::vector<dpi::ScanResult>* out;
-  const std::uint32_t* order;
-  const std::uint32_t* offsets;
-};
-
-struct BatchProcessCtx {
-  DpiInstance* self;
-  std::vector<net::Packet>* packets;
-  std::vector<ProcessOutput>* out;
-  const std::uint32_t* order;
-  const std::uint32_t* offsets;
-};
-
-/// Reusable counting-sort scratch. thread_local so concurrent batch callers
-/// never share buffers; the vectors keep their capacity across batches, so
-/// steady-state partitioning allocates nothing.
-struct PartitionScratch {
-  std::vector<std::uint32_t> shard_of;
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> cursor;
-};
-
-PartitionScratch& partition_scratch() {
-  thread_local PartitionScratch scratch;
-  return scratch;
-}
-
-/// Stable counting sort of [0, n) by shard: after the call,
-/// scratch.order[scratch.offsets[s] .. scratch.offsets[s+1]) lists shard
-/// s's item indices in submission order. Stability is what preserves
-/// per-flow packet order through the partition.
-template <typename ShardOf>
-void partition_by_shard(std::size_t n, std::size_t num_shards,
-                        ShardOf&& shard_of_fn, PartitionScratch& scratch) {
-  scratch.shard_of.resize(n);
-  scratch.offsets.assign(num_shards + 1, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto s = static_cast<std::uint32_t>(shard_of_fn(i));
-    scratch.shard_of[i] = s;
-    ++scratch.offsets[s + 1];
-  }
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    scratch.offsets[s + 1] += scratch.offsets[s];
-  }
-  scratch.cursor.assign(scratch.offsets.begin(), scratch.offsets.end() - 1);
-  scratch.order.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    scratch.order[scratch.cursor[scratch.shard_of[i]]++] = i;
+template <typename FlowOf, typename Bucket>
+void DpiInstance::run_buckets(std::size_t n, FlowOf&& flow_of,
+                              Bucket&& bucket) {
+  if (n == 0) return;
+  // thread_local: concurrent batch callers never share the scratch, and it
+  // keeps its capacity from batch to batch.
+  thread_local ShardPartition partition;
+  partition.build(*this, n, flow_of);
+  // A plain struct on the dispatcher's stack threaded through the pool's
+  // function-pointer job slots: a dispatch allocates nothing.
+  struct Ctx {
+    const ShardPartition* partition;
+    std::remove_reference_t<Bucket>* bucket;
+    JobError error;
+  };
+  Ctx ctx{&partition, &bucket, {}};
+  pool_.dispatch(
+      [](void* raw, std::size_t shard) {
+        auto* c = static_cast<Ctx*>(raw);
+        const std::size_t count = c->partition->size(shard);
+        if (count == 0) return;
+        c->error.guard(
+            [&] { (*c->bucket)(shard, c->partition->bucket(shard), count); });
+      },
+      &ctx, shards_.size());
+  if (std::exception_ptr error = ctx.error.take()) {
+    std::rethrow_exception(error);
   }
 }
 
-}  // namespace
-
-std::vector<dpi::ScanResult> DpiInstance::scan_batch(
-    const std::vector<ScanItem>& items) {
-  std::vector<dpi::ScanResult> out;
-  scan_batch_into(items, out);
+ProcessOutput DpiInstance::process(net::Packet packet) {
+  ProcessOutput out;
+  process_bucket(shard_of_flow(packet.tuple), &packet, kIdentity.data(), 1,
+                 &out);
   return out;
-}
-
-void DpiInstance::scan_batch_into(const std::vector<ScanItem>& items,
-                                  std::vector<dpi::ScanResult>& out) {
-  out.clear();
-  out.resize(items.size());
-  if (items.empty()) return;
-  PartitionScratch& scratch = partition_scratch();
-  partition_by_shard(
-      items.size(), shards_.size(),
-      [&](std::size_t i) { return shard_index(items[i].flow); }, scratch);
-  BatchScanCtx ctx{this, &items, &out, scratch.order.data(),
-                   scratch.offsets.data()};
-  pool_.dispatch(&DpiInstance::scan_batch_job, &ctx, shards_.size());
-}
-
-void DpiInstance::scan_batch_job(void* ctx, std::size_t shard) {
-  auto* c = static_cast<BatchScanCtx*>(ctx);
-  const std::uint32_t begin = c->offsets[shard];
-  const std::uint32_t end = c->offsets[shard + 1];
-  if (begin == end) return;
-  c->self->scan_bucket(shard, *c->items, c->order + begin, end - begin,
-                       *c->out);
-}
-
-void DpiInstance::scan_bucket(std::size_t shard_idx,
-                              const std::vector<ScanItem>& items,
-                              const std::uint32_t* indices, std::size_t count,
-                              std::vector<dpi::ScanResult>& out) {
-  Shard& shard = *shards_[shard_idx];
-  const MutexLock lock(shard.mu);
-  const bool batched = shard.engine != nullptr && shard.engine->kernel_active();
-  std::size_t pos = 0;
-  while (pos < count) {
-    if (trace_.enabled()) {
-      const std::size_t i = indices[pos];
-      trace_.record(obs::TraceEvent::kShardDispatch,
-                    items[i].flow.canonical().hash(), 0,
-                    items[i].payload.size(), shard.index, items[i].chain);
-    }
-    if (!batched) {
-      const std::size_t i = indices[pos];
-      // Distinct indices per bucket: writes to `out` never alias.
-      out[i] = scan_on_shard(shard, items[i].chain, items[i].flow,
-                             items[i].payload);
-      ++pos;
-      continue;
-    }
-    // Form a same-chain run for the interleaved kernel. A stateful run
-    // additionally (a) breaks before a flow it already contains — each
-    // run cursor must see the previous packet's update — and (b) only
-    // forms while no LRU eviction is possible (run cursors are looked
-    // up before any update; with every run flow distinct and room for
-    // all inserts, the flow table ends in the same state as the
-    // sequential order, so results stay identical).
-    const dpi::ChainId chain = items[indices[pos]].chain;
-    const bool stateful = shard.engine->chain_stateful(chain);
-    constexpr std::size_t kMaxRun = 32;
-    std::size_t end = pos + 1;
-    if (!stateful || shard.flows.size() + kMaxRun <= shard.flows.capacity()) {
-      while (end < count && end - pos < kMaxRun &&
-             items[indices[end]].chain == chain) {
-        if (stateful) {
-          bool repeat = false;
-          for (std::size_t k = pos; k < end && !repeat; ++k) {
-            repeat = items[indices[k]].flow.canonical() ==
-                     items[indices[end]].flow.canonical();
-          }
-          if (repeat) break;
-        }
-        if (trace_.enabled()) {
-          const std::size_t i = indices[end];
-          trace_.record(obs::TraceEvent::kShardDispatch,
-                        items[i].flow.canonical().hash(), 0,
-                        items[i].payload.size(), shard.index, items[i].chain);
-        }
-        ++end;
-      }
-    }
-    if (end - pos == 1) {
-      const std::size_t i = indices[pos];
-      out[i] = scan_on_shard(shard, items[i].chain, items[i].flow,
-                             items[i].payload);
-    } else {
-      scan_run_on_shard(shard, chain, items, indices + pos, end - pos, out);
-    }
-    pos = end;
-  }
 }
 
 std::vector<ProcessOutput> DpiInstance::process_batch(
     std::vector<net::Packet> packets) {
   std::vector<ProcessOutput> out(packets.size());
-  if (packets.empty()) return out;
-  PartitionScratch& scratch = partition_scratch();
-  partition_by_shard(
-      packets.size(), shards_.size(),
-      [&](std::size_t i) { return shard_index(packets[i].tuple); }, scratch);
-  BatchProcessCtx ctx{this, &packets, &out, scratch.order.data(),
-                      scratch.offsets.data()};
-  pool_.dispatch(&DpiInstance::process_batch_job, &ctx, shards_.size());
+  run_buckets(
+      packets.size(),
+      [&](std::size_t i) -> const net::FiveTuple& { return packets[i].tuple; },
+      [&](std::size_t shard, const std::uint32_t* indices, std::size_t count) {
+        // A flow's packets share a bucket and keep submission order, so the
+        // outputs match the per-packet process() path exactly.
+        process_bucket(shard, packets.data(), indices, count, out.data());
+      });
   return out;
 }
 
-void DpiInstance::process_batch_job(void* ctx, std::size_t shard) {
-  auto* c = static_cast<BatchProcessCtx*>(ctx);
-  const std::uint32_t begin = c->offsets[shard];
-  const std::uint32_t end = c->offsets[shard + 1];
-  if (begin == end) return;
-  Shard& sh = *c->self->shards_[shard];
-  const MutexLock lock(sh.mu);
-  for (std::uint32_t k = begin; k < end; ++k) {
-    const std::uint32_t i = c->order[k];
-    // A flow's packets share a bucket and keep submission order, so the
-    // outputs match the per-packet process() path exactly.
-    (*c->out)[i] = c->self->process_on_shard(sh, std::move((*c->packets)[i]));
-  }
-}
-
-dpi::ScanResult DpiInstance::scan_on_shard(Shard& shard, dpi::ChainId chain,
-                                           const net::FiveTuple& flow,
-                                           BytesView payload) {
-  if (shard.engine == nullptr) {
-    throw std::logic_error("DpiInstance::scan: no engine loaded");
-  }
-  Stopwatch watch;
-  dpi::FlowCursor cursor;
-  const bool stateful = shard.engine->chain_stateful(chain);
-  if (stateful) {
-    cursor = shard.flows.lookup(flow);
-  }
-  dpi::ScanResult result = shard.engine->scan_packet(chain, payload, cursor);
-  if (stateful) {
-    DPISVC_ASSERT_INVARIANT(
-        result.cursor.valid &&
-            result.cursor.dfa_state < shard.engine->num_automaton_states(),
-        "stateful scan must leave the cursor on a state of this engine");
-    if (shard.flows.update(flow, result.cursor)) {
-      // A live cursor was LRU-evicted: the victim flow resumes from the DFA
-      // root, so a pattern straddling this point is missed. Count it so the
-      // capacity shortfall is observable (§4.3.1 telemetry).
-      ++shard.telemetry.flow_evictions;
-      if (shard.obs.flow_evictions != nullptr) {
-        shard.obs.flow_evictions->add(1);
-      }
-      log(LogLevel::kDebug, name_,
-          "flow table full: evicted live stateful cursor (evictions=",
-          shard.telemetry.flow_evictions, ")");
-    }
-  }
-  // One clock read serves both the busy-seconds counter and the latency
-  // histogram — the obs layer adds no clock overhead to the scan path.
-  const std::uint64_t scan_ns = watch.elapsed_ns();
-  shard.telemetry.busy_seconds += static_cast<double>(scan_ns) * 1e-9;
-  ++shard.telemetry.packets;
-  shard.telemetry.bytes += payload.size();
-  shard.telemetry.raw_hits += result.raw_hits;
-  ChainTelemetry& per_chain = shard.chain_telemetry[chain];
-  ++per_chain.packets;
-  per_chain.bytes += payload.size();
-  per_chain.raw_hits += result.raw_hits;
-  if (result.has_matches()) {
-    ++shard.telemetry.match_packets;
-  }
-  const ShardInstruments& ins = shard.obs;
-  if (ins.packets != nullptr) {
-    ins.scan_ns->record(scan_ns);
-    ins.packets->add(1);
-    ins.bytes->add(payload.size());
-    ins.raw_hits->add(result.raw_hits);
-    ins.anchor_hits->add(result.anchor_hits_seen);
-    ins.regex_evals->add(result.regexes_evaluated);
-    ins.regex_matches->add(result.regex_matches);
-    if (stateful) {
-      ins.flow_occupancy->set(static_cast<std::int64_t>(shard.flows.size()));
-    }
-  }
-  if (trace_.enabled()) {
-    const std::uint64_t fh = flow.canonical().hash();
-    const std::uint64_t flow_offset =
-        result.cursor.valid ? result.cursor.offset : result.bytes_scanned;
-    trace_.record(obs::TraceEvent::kDfaScan, fh, flow_offset,
-                  result.bytes_scanned, shard.index, chain);
-    if (result.regexes_evaluated > 0) {
-      trace_.record(obs::TraceEvent::kRegexEval, fh, flow_offset,
-                    result.regexes_evaluated, shard.index, chain);
-    }
-    std::uint64_t entries = 0;
-    for (const auto& m : result.matches) entries += m.entries.size();
-    trace_.record(obs::TraceEvent::kVerdict, fh, flow_offset, entries,
-                  shard.index, chain);
-  }
+dpi::ScanResult DpiInstance::scan(dpi::ChainId chain,
+                                  const net::FiveTuple& flow,
+                                  BytesView payload) {
+  const ScanItem item{chain, flow, payload};
+  dpi::ScanResult result;
+  scan_bucket(shard_of_flow(flow), &item, kIdentity.data(), 1, &result);
   return result;
 }
 
-void DpiInstance::scan_run_on_shard(Shard& shard, dpi::ChainId chain,
-                                    const std::vector<ScanItem>& items,
-                                    const std::uint32_t* indices,
-                                    std::size_t count,
-                                    std::vector<dpi::ScanResult>& out) {
+std::vector<dpi::ScanResult> DpiInstance::scan_batch(
+    const std::vector<ScanItem>& items) {
+  std::vector<dpi::ScanResult> out(items.size());
+  run_buckets(
+      items.size(),
+      [&](std::size_t i) -> const net::FiveTuple& { return items[i].flow; },
+      [&](std::size_t shard, const std::uint32_t* indices, std::size_t count) {
+        scan_bucket(shard, items.data(), indices, count, out.data());
+      });
+  return out;
+}
+
+void DpiInstance::scan_bucket(std::size_t shard_idx, const ScanItem* items,
+                              const std::uint32_t* indices, std::size_t count,
+                              dpi::ScanResult* out) {
+  Shard& shard = *shards_[shard_idx];
+  const MutexLock lock(shard.mu);
+  for (std::size_t pos = 0; pos < count; pos += kMaxRun) {
+    Tally tally;
+    scan_window(shard, items, indices + pos, std::min(kMaxRun, count - pos),
+                out, tally);
+    account(shard, tally);
+  }
+}
+
+void DpiInstance::process_bucket(std::size_t shard_idx, net::Packet* packets,
+                                 const std::uint32_t* indices,
+                                 std::size_t count, ProcessOutput* out) {
+  Shard& shard = *shards_[shard_idx];
+  const MutexLock lock(shard.mu);
+  Staging& staged = shard.staging;
+  for (std::size_t pos = 0; pos < count; pos += kMaxRun) {
+    Tally tally;
+    normalize(shard, packets, indices + pos, std::min(kMaxRun, count - pos),
+              out, tally);
+    scan_window(shard, staged.items.data(), kIdentity.data(), staged.size,
+                staged.results.data(), tally);
+    emit(shard, packets, out, tally);
+    account(shard, tally);
+  }
+}
+
+// --- stages ------------------------------------------------------------------
+
+void DpiInstance::normalize(Shard& shard, net::Packet* packets,
+                            const std::uint32_t* indices, std::size_t count,
+                            ProcessOutput* out, Tally& tally) {
+  Staging& staged = shard.staging;
+  staged.size = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t i = indices[k];
+    net::Packet& packet = packets[i];
+    const auto tag = packet.find_tag(net::TagKind::kPolicyChain);
+    if (trace_.enabled()) {
+      trace_.record(obs::TraceEvent::kPacketIn,
+                    packet.tuple.canonical().hash(), 0, packet.payload.size(),
+                    shard.index, tag ? static_cast<std::uint32_t>(*tag) : 0u);
+    }
+    if (!tag || shard.engine == nullptr ||
+        !shard.engine->chain_known(static_cast<dpi::ChainId>(*tag))) {
+      // Not ours to inspect: forward unchanged.
+      ++tally.n[kPassThrough];
+      out[i].data = std::move(packet);
+      continue;
+    }
+
+    // IPv4 defragmentation: scan whole datagrams, not fragments. An
+    // incomplete fragment is forwarded unchanged (middleboxes see it; the
+    // scan runs on the packet that completes the datagram, which then
+    // carries the reassembled payload).
+    if (config_.defragment_ip) {
+      if (packet.is_fragment()) {
+        std::optional<net::Packet> full = shard.defrag.feed(packet);
+        if (!full) {
+          ++tally.n[kDefragHeld];
+          out[i].data = std::move(packet);
+          continue;
+        }
+        packet = std::move(*full);
+      } else {
+        // Non-fragments still advance the defragmenter's logical clock so
+        // partial datagrams time out against real traffic.
+        shard.defrag.tick();
+      }
+    }
+
+    // Stream reassembly (§7): scan in-order stream chunks, not raw segments.
+    Bytes& owned = staged.bytes[staged.size];
+    BytesView bytes = packet.payload;
+    if (config_.reassemble_tcp && packet.tuple.proto == net::IpProto::kTcp) {
+      std::optional<net::ReassembledChunk> chunk =
+          shard.reassembler.feed(packet);
+      if (!chunk) {
+        // Out-of-order segment: nothing contiguous yet. Forward the packet
+        // (middleboxes see it; results for its bytes come with the packet
+        // that completes the gap).
+        ++tally.n[kReassemblyHeld];
+        out[i].data = std::move(packet);
+        continue;
+      }
+      owned = std::move(chunk->data);
+      bytes = owned;
+    }
+
+    // Decompress once for all middleboxes on the chain (§1).
+    if (std::optional<Bytes> inflated = maybe_decompress(bytes)) {
+      ++tally.n[kDecompressedPackets];
+      tally.n[kDecompressedBytes] += inflated->size();
+      owned = std::move(*inflated);
+      bytes = owned;
+    }
+    staged.packet[staged.size] = i;
+    staged.items[staged.size] =
+        ScanItem{static_cast<dpi::ChainId>(*tag), packet.tuple, bytes};
+    ++staged.size;
+  }
+}
+
+void DpiInstance::scan_window(Shard& shard, const ScanItem* items,
+                              const std::uint32_t* indices, std::size_t count,
+                              dpi::ScanResult* out, Tally& tally) {
+  if (count == 0) return;
   if (shard.engine == nullptr) {
     throw std::logic_error("DpiInstance::scan: no engine loaded");
   }
-  Stopwatch watch;
-  const bool stateful = shard.engine->chain_stateful(chain);
-  // The caller guarantees distinct flows per stateful run, so the cursors
-  // never alias and each lookup precedes its flow's sole update.
-  std::vector<BytesView> payloads;
-  payloads.reserve(count);
-  std::vector<dpi::FlowCursor> cursors;
-  if (stateful) cursors.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const ScanItem& item = items[indices[k]];
-    payloads.push_back(item.payload);
-    if (stateful) cursors.push_back(shard.flows.lookup(item.flow));
-  }
-
-  std::vector<dpi::ScanResult> results =
-      shard.engine->scan_batch(chain, payloads, stateful ? &cursors : nullptr);
-
-  // One clock read for the whole run; each packet is attributed its share —
-  // the interleave makes per-packet walk time unmeasurable in isolation.
-  const std::uint64_t run_ns = watch.elapsed_ns();
-  const std::uint64_t per_packet_ns = run_ns / count;
-  shard.telemetry.busy_seconds += static_cast<double>(run_ns) * 1e-9;
-  ChainTelemetry& per_chain = shard.chain_telemetry[chain];
-  const ShardInstruments& ins = shard.obs;
-
-  for (std::size_t k = 0; k < count; ++k) {
-    const ScanItem& item = items[indices[k]];
-    dpi::ScanResult& result = results[k];
-    if (stateful) {
-      DPISVC_ASSERT_INVARIANT(
-          result.cursor.valid &&
-              result.cursor.dfa_state < shard.engine->num_automaton_states(),
-          "stateful scan must leave the cursor on a state of this engine");
-      if (shard.flows.update(item.flow, result.cursor)) {
-        ++shard.telemetry.flow_evictions;
-        if (shard.obs.flow_evictions != nullptr) {
-          shard.obs.flow_evictions->add(1);
+  DPISVC_ASSERT_INVARIANT(count <= kMaxRun, "a scan window holds <= kMaxRun");
+  const dpi::Engine& engine = *shard.engine;
+  Staging& staged = shard.staging;
+  std::size_t pos = 0;
+  while (pos < count) {
+    // Form a same-chain run for the interleaved kernel. A stateful run
+    // additionally (a) breaks before a flow it already contains — each run
+    // cursor must see the previous packet's update — and (b) only forms
+    // while no LRU eviction is possible (run cursors are looked up before
+    // any update; with every run flow distinct and room for all inserts,
+    // the flow table ends in the same state as the sequential order, so
+    // results stay identical).
+    const dpi::ChainId chain = items[indices[pos]].chain;
+    const bool stateful = engine.chain_stateful(chain);
+    std::size_t end = pos + 1;
+    if (engine.kernel_active() &&
+        (!stateful || shard.flows.size() + kMaxRun <= shard.flows.capacity())) {
+      while (end < count && items[indices[end]].chain == chain) {
+        const net::FiveTuple& flow = items[indices[end]].flow;
+        if (stateful &&
+            std::any_of(indices + pos, indices + end, [&](std::uint32_t j) {
+              return items[j].flow.canonical() == flow.canonical();
+            })) {
+          break;
         }
-        log(LogLevel::kDebug, name_,
-            "flow table full: evicted live stateful cursor (evictions=",
-            shard.telemetry.flow_evictions, ")");
+        ++end;
       }
     }
-    ++shard.telemetry.packets;
-    shard.telemetry.bytes += item.payload.size();
-    shard.telemetry.raw_hits += result.raw_hits;
-    ++per_chain.packets;
-    per_chain.bytes += item.payload.size();
-    per_chain.raw_hits += result.raw_hits;
-    if (result.has_matches()) {
-      ++shard.telemetry.match_packets;
-    }
-    if (ins.packets != nullptr) {
-      ins.scan_ns->record(per_packet_ns);
-      ins.packets->add(1);
-      ins.bytes->add(item.payload.size());
-      ins.raw_hits->add(result.raw_hits);
-      ins.anchor_hits->add(result.anchor_hits_seen);
-      ins.regex_evals->add(result.regexes_evaluated);
-      ins.regex_matches->add(result.regex_matches);
-    }
-    if (trace_.enabled()) {
-      const std::uint64_t fh = item.flow.canonical().hash();
-      const std::uint64_t flow_offset =
-          result.cursor.valid ? result.cursor.offset : result.bytes_scanned;
-      trace_.record(obs::TraceEvent::kDfaScan, fh, flow_offset,
-                    result.bytes_scanned, shard.index, chain);
-      if (result.regexes_evaluated > 0) {
-        trace_.record(obs::TraceEvent::kRegexEval, fh, flow_offset,
-                      result.regexes_evaluated, shard.index, chain);
+
+    Stopwatch watch;
+    staged.payloads.clear();
+    staged.cursors.clear();
+    for (std::size_t k = pos; k < end; ++k) {
+      const ScanItem& item = items[indices[k]];
+      if (trace_.enabled()) {
+        trace_.record(obs::TraceEvent::kShardDispatch,
+                      item.flow.canonical().hash(), 0, item.payload.size(),
+                      shard.index, chain);
       }
-      std::uint64_t entries = 0;
-      for (const auto& m : result.matches) entries += m.entries.size();
-      trace_.record(obs::TraceEvent::kVerdict, fh, flow_offset, entries,
-                    shard.index, chain);
+      staged.payloads.push_back(item.payload);
+      // The run's flows are distinct, so each lookup precedes its flow's
+      // sole update and no two cursors alias.
+      if (stateful) staged.cursors.push_back(shard.flows.lookup(item.flow));
     }
-    out[indices[k]] = std::move(result);
-  }
-  if (stateful && ins.packets != nullptr) {
-    ins.flow_occupancy->set(static_cast<std::int64_t>(shard.flows.size()));
+    // A lone packet takes the per-packet walk; a run takes the interleaved
+    // one, whose results are byte-identical to scanning it sequentially.
+    std::vector<dpi::ScanResult>& results = staged.run_results;
+    if (end - pos == 1) {
+      results.resize(1);
+      results[0] = engine.scan_packet(
+          chain, staged.payloads[0], stateful ? staged.cursors[0] : kNoCursor);
+    } else {
+      results = engine.scan_batch(chain, staged.payloads,
+                                  stateful ? &staged.cursors : nullptr);
+    }
+    // One clock read per run; each packet is attributed its share — the
+    // interleave makes per-packet walk time unmeasurable in isolation.
+    Tally::Run& run = tally.runs[tally.num_runs++];
+    run = Tally::Run{chain, static_cast<std::uint32_t>(end - pos), 0, 0,
+                     watch.elapsed_ns()};
+
+    for (std::size_t k = pos; k < end; ++k) {
+      const ScanItem& item = items[indices[k]];
+      dpi::ScanResult& result = results[k - pos];
+      if (stateful) {
+        DPISVC_ASSERT_INVARIANT(
+            result.cursor.valid &&
+                result.cursor.dfa_state < engine.num_automaton_states(),
+            "stateful scan must leave the cursor on a state of this engine");
+        if (shard.flows.update(item.flow, result.cursor)) {
+          // A live cursor was LRU-evicted: the victim flow resumes from the
+          // DFA root, so a pattern straddling this point is missed. Count
+          // it so the capacity shortfall is observable (§4.3.1 telemetry).
+          ++tally.n[kFlowEvictions];
+          log(LogLevel::kDebug, name_,
+              "flow table full: evicted live stateful cursor");
+        }
+      }
+      run.bytes += item.payload.size();
+      run.raw_hits += result.raw_hits;
+      tally.n[kAnchorHits] += result.anchor_hits_seen;
+      tally.n[kRegexEvals] += result.regexes_evaluated;
+      tally.n[kRegexMatches] += result.regex_matches;
+      if (result.has_matches()) ++tally.n[kMatchPackets];
+      if (trace_.enabled()) {
+        const std::uint64_t fh = item.flow.canonical().hash();
+        const std::uint64_t flow_offset =
+            result.cursor.valid ? result.cursor.offset : result.bytes_scanned;
+        trace_.record(obs::TraceEvent::kDfaScan, fh, flow_offset,
+                      result.bytes_scanned, shard.index, chain);
+        if (result.regexes_evaluated > 0) {
+          trace_.record(obs::TraceEvent::kRegexEval, fh, flow_offset,
+                        result.regexes_evaluated, shard.index, chain);
+        }
+        std::uint64_t entries = 0;
+        for (const auto& m : result.matches) entries += m.entries.size();
+        trace_.record(obs::TraceEvent::kVerdict, fh, flow_offset, entries,
+                      shard.index, chain);
+      }
+      // Distinct indices per bucket: writes to `out` never alias.
+      out[indices[k]] = std::move(result);
+    }
+    pos = end;
   }
 }
 
-void DpiInstance::publish_evasion_metrics(Shard& shard) {
-  const ShardInstruments& ins = shard.obs;
-  if (ins.reassembly_dropped == nullptr) return;  // metrics disabled
-  // The stat blocks are monotonic; publish the delta since the last call so
-  // the obs counters mirror them exactly.
-  const net::ReassemblyStats& r = shard.reassembler.stats();
-  net::ReassemblyStats& rp = shard.obs_reassembly;
-  ins.reassembly_dropped->add(r.dropped_segments - rp.dropped_segments);
-  ins.reassembly_duplicate_bytes->add(r.duplicate_bytes - rp.duplicate_bytes);
-  ins.reassembly_ambiguous->add(r.ambiguous_overlaps - rp.ambiguous_overlaps);
-  ins.reassembly_conflicting_bytes->add(r.conflicting_overlap_bytes -
-                                        rp.conflicting_overlap_bytes);
-  ins.reassembly_stream_evictions->add(r.stream_evictions -
-                                       rp.stream_evictions);
-  ins.reassembly_streams_closed->add(r.streams_closed - rp.streams_closed);
-  ins.reassembly_ignored_fins->add(r.ignored_fins - rp.ignored_fins);
-  ins.reassembly_ignored_rsts->add(r.ignored_rsts - rp.ignored_rsts);
-  rp = r;
-  const net::DefragStats& d = shard.defrag.stats();
-  net::DefragStats& dp = shard.obs_defrag;
-  ins.defrag_fragments->add(d.fragments - dp.fragments);
-  ins.defrag_completed->add(d.datagrams_completed - dp.datagrams_completed);
-  ins.defrag_rejected->add((d.rejected_tiny + d.rejected_bounds) -
-                           (dp.rejected_tiny + dp.rejected_bounds));
-  ins.defrag_ambiguous->add(d.ambiguous_fragments - dp.ambiguous_fragments);
-  ins.defrag_evicted->add(d.evicted_incomplete - dp.evicted_incomplete);
-  dp = d;
+void DpiInstance::emit(Shard& shard, net::Packet* packets, ProcessOutput* out,
+                       Tally& tally) {
+  Staging& staged = shard.staging;
+  for (std::size_t k = 0; k < staged.size; ++k) {
+    staged.bytes[k] = Bytes();  // the scan is done with the staged payload
+    net::Packet& packet = packets[staged.packet[k]];
+    ProcessOutput& o = out[staged.packet[k]];
+    const dpi::ChainId chain = staged.items[k].chain;
+    const dpi::ScanResult& scanned = staged.results[k];
+
+    const bool result_only = config_.result_mode == ResultMode::kResultOnly &&
+                             shard.engine->chain_read_only(chain);
+    if (result_only) {
+      // §4.2 option 3: the data packet bypasses the (read-only) middleboxes;
+      // pop the steering tag so the switch sends it straight to the egress.
+      packet.pop_tag(net::TagKind::kPolicyChain);
+    }
+    if (!scanned.has_matches()) {
+      // §4.2: "a packet with no matches is always forwarded as is".
+      o.data = std::move(packet);
+      continue;
+    }
+
+    o.had_matches = true;
+    Bytes encoded = net::encode_report(
+        build_report(chain, packet_ref_of(packet), scanned), config_.codec);
+    tally.n[kResultBytes] += encoded.size();
+    packet.set_match_mark(true);  // §6.1: ECN marks "has matches"
+    if (config_.result_mode == ResultMode::kServiceHeader && !result_only) {
+      packet.service_header = net::ServiceHeader{chain, 0, std::move(encoded)};
+      o.data = std::move(packet);
+      continue;
+    }
+
+    // Dedicated result packet follows the data packet through the chain (or,
+    // in result-only mode, travels the chain alone): it copies the flow tuple
+    // and steering tags and is marked by the reserved service-path id.
+    net::Packet result;
+    result.src_mac = packet.src_mac;
+    result.dst_mac = packet.dst_mac;
+    result.tags = packet.tags;
+    if (result_only) {
+      result.push_tag(net::TagKind::kPolicyChain, chain);  // data's tag popped
+    }
+    result.tuple = packet.tuple;
+    result.ip_id = packet.ip_id;
+    result.service_header =
+        net::ServiceHeader{kResultServicePathId, 0, std::move(encoded)};
+    o.data = std::move(packet);
+    o.result = std::move(result);
+  }
 }
 
-net::MatchReport DpiInstance::build_report(dpi::ChainId chain,
-                                           std::uint64_t packet_ref,
-                                           const dpi::ScanResult& scan) const {
-  net::MatchReport report;
-  report.policy_chain_id = chain;
-  report.packet_ref = packet_ref;
-  for (const dpi::MiddleboxMatches& m : scan.matches) {
-    if (m.entries.empty()) continue;
-    net::MiddleboxSection section;
-    section.middlebox_id = m.middlebox;
-    section.entries = m.entries;
-    report.sections.push_back(std::move(section));
+void DpiInstance::account(Shard& shard, const Tally& tally) {
+  std::array<std::uint64_t, kNumCounts> n = tally.n;
+  for (std::size_t r = 0; r < tally.num_runs; ++r) {
+    const Tally::Run& run = tally.runs[r];
+    shard.scan_ns->record(run.ns / run.packets, run.packets);
+    ChainTelemetry& chain = shard.chain_telemetry[run.chain];
+    chain.packets += run.packets;
+    chain.bytes += run.bytes;
+    chain.raw_hits += run.raw_hits;
+    n[kPackets] += run.packets;
+    n[kBytes] += run.bytes;
+    n[kRawHits] += run.raw_hits;
   }
-  return report;
+  for (std::size_t c = 0; c < kNumCounts; ++c) {
+    if (n[c] != 0) shard.counters[c]->add(n[c]);
+  }
+  shard.flow_occupancy->set(static_cast<std::int64_t>(shard.flows.size()));
 }
 
 /// Decompress-once preprocessing (§1): returns the inflated payload when
 /// the packet carries a gzip or zlib body and decompression is enabled;
 /// otherwise std::nullopt (scan the raw bytes).
-std::optional<Bytes> DpiInstance::maybe_decompress(BytesView payload) {
+std::optional<Bytes> DpiInstance::maybe_decompress(BytesView payload) const {
   if (!config_.decompress_payloads) return std::nullopt;
   compress::InflateLimits limits;
   limits.max_output = config_.max_decompressed;
@@ -765,155 +716,13 @@ std::optional<Bytes> DpiInstance::maybe_decompress(BytesView payload) {
   return std::nullopt;
 }
 
-ProcessOutput DpiInstance::process(net::Packet packet) {
-  Shard& shard = shard_of(packet.tuple);
-  const MutexLock lock(shard.mu);
-  return process_on_shard(shard, std::move(packet));
-}
-
-ProcessOutput DpiInstance::process_on_shard(Shard& shard, net::Packet packet) {
-  ProcessOutput out;
-  const auto tag = packet.find_tag(net::TagKind::kPolicyChain);
-  if (trace_.enabled()) {
-    trace_.record(obs::TraceEvent::kPacketIn, packet.tuple.canonical().hash(),
-                  0, packet.payload.size(), shard.index,
-                  tag ? static_cast<std::uint32_t>(*tag) : 0u);
-  }
-  if (!tag || shard.engine == nullptr ||
-      !shard.engine->chain_known(static_cast<dpi::ChainId>(*tag))) {
-    // Not ours to inspect: forward unchanged.
-    ++shard.telemetry.pass_through;
-    out.data = std::move(packet);
-    return out;
-  }
-  const auto chain = static_cast<dpi::ChainId>(*tag);
-
-  // IPv4 defragmentation: scan whole datagrams, not fragments. An
-  // incomplete fragment is forwarded unchanged (middleboxes see it; the
-  // scan runs on the packet that completes the datagram, which then carries
-  // the reassembled payload).
-  if (config_.defragment_ip) {
-    if (packet.is_fragment()) {
-      auto full = shard.defrag.feed(packet);
-      publish_evasion_metrics(shard);
-      if (!full) {
-        ++shard.telemetry.defrag_held;
-        out.data = std::move(packet);
-        return out;
-      }
-      packet = std::move(*full);
-    } else {
-      // Non-fragments still advance the defragmenter's logical clock so
-      // partial datagrams time out against real traffic.
-      shard.defrag.tick();
-    }
-  }
-
-  // Stream reassembly (§7): scan in-order stream chunks, not raw segments.
-  std::optional<Bytes> chunk_storage;
-  if (config_.reassemble_tcp && packet.tuple.proto == net::IpProto::kTcp) {
-    auto chunk = shard.reassembler.feed(packet);
-    publish_evasion_metrics(shard);
-    if (!chunk) {
-      // Out-of-order segment: nothing contiguous yet. Forward the packet
-      // (middleboxes see it; results for its bytes come with the packet
-      // that completes the gap).
-      ++shard.telemetry.reassembly_held;
-      out.data = std::move(packet);
-      return out;
-    }
-    chunk_storage = std::move(chunk->data);
-  }
-  const BytesView stream_bytes =
-      chunk_storage ? BytesView(*chunk_storage) : BytesView(packet.payload);
-
-  // Decompress once for all middleboxes on the chain (§1).
-  BytesView scan_bytes = stream_bytes;
-  std::optional<Bytes> inflated = maybe_decompress(stream_bytes);
-  if (inflated) {
-    ++shard.telemetry.decompressed_packets;
-    shard.telemetry.decompressed_bytes += inflated->size();
-    scan_bytes = *inflated;
-  }
-  const dpi::ScanResult scanned =
-      scan_on_shard(shard, chain, packet.tuple, scan_bytes);
-
-  const bool result_only = config_.result_mode == ResultMode::kResultOnly &&
-                           shard.engine->chain_read_only(chain);
-  if (result_only) {
-    // §4.2 option 3: the data packet bypasses the (read-only) middleboxes;
-    // pop the steering tag so the switch sends it straight to the egress.
-    packet.pop_tag(net::TagKind::kPolicyChain);
-  }
-
-  if (!scanned.has_matches()) {
-    // §4.2: "a packet with no matches is always forwarded as is".
-    out.data = std::move(packet);
-    return out;
-  }
-
-  out.had_matches = true;
-  const std::uint64_t packet_ref =
-      packet.tuple.hash() ^ (static_cast<std::uint64_t>(packet.ip_id) << 48);
-  // Keep in sync with service::packet_ref_of (instance_node.hpp).
-  const net::MatchReport report = build_report(chain, packet_ref, scanned);
-  const Bytes encoded = net::encode_report(report, config_.codec);
-  shard.telemetry.result_bytes += encoded.size();
-
-  packet.set_match_mark(true);  // §6.1: ECN marks "has matches"
-  if (config_.result_mode == ResultMode::kServiceHeader && !result_only) {
-    net::ServiceHeader sh;
-    sh.service_path_id = chain;
-    sh.service_index = 0;
-    sh.metadata = encoded;
-    packet.service_header = std::move(sh);
-    out.data = std::move(packet);
-    return out;
-  }
-
-  // Dedicated result packet follows the data packet through the chain (or,
-  // in result-only mode, travels the chain alone): it copies the flow tuple
-  // and steering tags and is marked by the reserved service-path id.
-  net::Packet result;
-  result.src_mac = packet.src_mac;
-  result.dst_mac = packet.dst_mac;
-  result.tags = packet.tags;
-  if (result_only) {
-    result.push_tag(net::TagKind::kPolicyChain, chain);  // data's tag popped
-  }
-  result.tuple = packet.tuple;
-  result.ip_id = packet.ip_id;
-  net::ServiceHeader sh;
-  sh.service_path_id = kResultServicePathId;
-  sh.service_index = 0;
-  sh.metadata = encoded;
-  result.service_header = std::move(sh);
-
-  out.data = std::move(packet);
-  out.result = std::move(result);
-  return out;
-}
+// --- flow migration ----------------------------------------------------------
 
 dpi::FlowCursor DpiInstance::export_flow(const net::FiveTuple& flow) {
   Shard& shard = shard_of(flow);
   const MutexLock lock(shard.mu);
   return shard.flows.extract(flow);
 }
-
-namespace {
-
-/// A stored cursor must index a state of the shard's *current* engine; a
-/// cursor exported before a hot swap landed would resume the DFA from an
-/// arbitrary (possibly out-of-range) state. The controller prevents this by
-/// matching engine versions, but the instance still refuses rather than
-/// trusting its caller.
-bool cursor_fits_engine(const dpi::FlowCursor& cursor,
-                        const dpi::Engine* engine) {
-  if (!cursor.valid) return false;  // nothing worth storing
-  return engine != nullptr && cursor.dfa_state < engine->num_automaton_states();
-}
-
-}  // namespace
 
 void DpiInstance::import_flow(const net::FiveTuple& flow,
                               const dpi::FlowCursor& cursor) {

@@ -17,24 +17,43 @@
 // The instance also exports the telemetry MCA² needs (§4.3.1) and supports
 // per-flow state export/import for flow migration (§4.3).
 //
-// Data-plane concurrency (§6 scaling): the instance is sharded. Each shard
-// owns a mutex, an engine snapshot (std::shared_ptr<const dpi::Engine>), a
-// FlowTable, a TCP reassembler, and telemetry counters. A packet's shard is
+// Data path: one per-shard routine of three stages, applied to windows of at
+// most kMaxRun packets —
+//   normalize  policy tag, IPv4 defrag, TCP reassembly, decompress-once;
+//   scan       same-chain runs through the engine's interleaved batch walk
+//              (the only data-path code that calls the engine or touches the
+//              flow table);
+//   emit       report encode, ECN mark, service header or result packet.
+// process_batch() runs the routine on each shard's bucket, process() on a
+// one-packet bucket. scan(), scan_batch() and the IngestPipeline carry
+// payloads that are already normalized and enter at the scan stage.
+//
+// Telemetry has one book per owner: the shard<i>.* counters of the metrics
+// registry hold everything the instance counts per packet (telemetry(),
+// stats_json() and TELEMETRY_REPORT read them), and each shard's
+// FlowReassembler / IpDefragmenter stats hold what those two count.
+//
+// Concurrency (§6 scaling): the instance is sharded. Each shard owns a mutex,
+// an engine snapshot (std::shared_ptr<const dpi::Engine>), a FlowTable, a TCP
+// reassembler and a defragmenter. A packet's shard is
 // FiveTuple::canonical() hash % num_workers, so both directions of a flow —
 // and therefore its stateful cursor — belong to exactly one shard and no
-// cross-shard FlowTable locking ever happens. scan_batch() / process_batch()
-// partition a packet vector by shard and dispatch one job per shard to the
+// cross-shard FlowTable locking ever happens. The batched entry points
+// partition their input by shard and dispatch one job per shard to the
 // ScanPool (worker i ↔ shard i), which preserves per-flow packet order for
 // any worker count. The pool's per-worker job rings are fixed-capacity
 // (InstanceConfig::queue_capacity), so a stalled shard surfaces as
 // backpressure — counted through the ingest.backpressure.* instruments —
 // instead of unbounded queue growth. Control-plane operations (engine push,
-// migration, telemetry sampling) take shards one at a time — they drain the
-// affected shard, not the whole data plane. Lock order: control_mu_ before
-// any shard mutex; never two shard mutexes at once.
+// migration) take shards one at a time — they drain the affected shard, not
+// the whole data plane. Lock order: control_mu_ before any shard mutex; never
+// two shard mutexes at once.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
@@ -60,6 +79,12 @@ namespace dpisvc::service {
 /// service_path_id value marking a dedicated result packet; middleboxes use
 /// it to distinguish results from data.
 inline constexpr std::uint32_t kResultServicePathId = 0xD715ECFE;
+
+/// Correlation key tying a dedicated result packet to its data packet.
+inline std::uint64_t packet_ref_of(const net::Packet& packet) noexcept {
+  return packet.tuple.hash() ^
+         (static_cast<std::uint64_t>(packet.ip_id) << 48);
+}
 
 enum class ResultMode {
   kServiceHeader,
@@ -121,17 +146,13 @@ struct InstanceConfig {
   /// the synchronous scan_batch()/process_batch() dispatches always block —
   /// their callers wait for completion regardless).
   OverloadPolicy overload = OverloadPolicy::kBlock;
-  /// Record per-shard obs metrics (scan-latency histogram, packet/byte/hit
-  /// counters, flow-occupancy gauge, pool queue-wait histogram). The writes
-  /// are relaxed atomics on the scan path; disable to shave the last few
-  /// nanoseconds per packet (bench_obs quantifies the difference).
-  bool metrics = true;
   /// ScanTrace ring capacity (structured per-packet event records for
   /// debugging); 0 — the default — disables tracing entirely.
   std::size_t trace_capacity = 0;
 };
 
-/// Counters exported to the DPI controller as stress telemetry (§4.3.1).
+/// Counters exported to the DPI controller as stress telemetry (§4.3.1),
+/// summed from the shard<i>.* registry counters.
 struct InstanceTelemetry {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
@@ -148,6 +169,7 @@ struct InstanceTelemetry {
   /// the eviction point are missed. Non-zero means max_flows is too small
   /// for the offered flow concurrency.
   std::uint64_t flow_evictions = 0;
+  /// Time spent in the scan stage (the shard<i>.scan_ns histogram sums).
   double busy_seconds = 0;
 
   /// The MCA² heavy-traffic signal: accepting-state hits per scanned byte.
@@ -190,9 +212,8 @@ struct ScanItem {
 };
 
 /// Batch-granular ingest instruments registered on the instance's metrics
-/// registry (all-null when metrics are disabled). The IngestPipeline
-/// records into these; they live here so dpisvc_stats finds every
-/// backpressure signal in one snapshot.
+/// registry. The IngestPipeline records into these; they live here so
+/// dpisvc_stats finds every backpressure signal in one snapshot.
 struct IngestInstruments {
   obs::Counter* shed = nullptr;            ///< packets dropped under kShed
   obs::Counter* blocked = nullptr;         ///< ring-full producer stalls
@@ -201,8 +222,44 @@ struct IngestInstruments {
   obs::Gauge* batches_in_flight = nullptr; ///< batches not yet delivered
 };
 
+/// The first exception any pool job of one dispatch (or ingest batch)
+/// threw. A job must not unwind into a pool worker — that terminates the
+/// process — nor skip its completion signal, which would hang the waiter;
+/// it runs its body through guard() instead, and the dispatching thread
+/// takes the exception once every job is done.
+class JobError {
+ public:
+  /// Runs body(), keeping the first exception any guard() call sees.
+  template <typename Body>
+  void guard(Body&& body) noexcept {
+    try {
+      body();
+    } catch (...) {
+      if (!taken_.test_and_set(std::memory_order_relaxed)) {
+        first_ = std::current_exception();
+      }
+    }
+  }
+
+  /// Returns the kept exception (null when every job succeeded) and re-arms.
+  /// Call only after all guarded jobs completed: the completion signal
+  /// (dispatch latch, batch pending count) orders the capture before this.
+  std::exception_ptr take() noexcept {
+    taken_.clear(std::memory_order_relaxed);
+    return std::exchange(first_, nullptr);
+  }
+
+ private:
+  std::atomic_flag taken_;
+  std::exception_ptr first_;
+};
+
 class DpiInstance {
  public:
+  /// Packets per stage window, and the longest same-chain scan run handed to
+  /// the engine's interleaved walk.
+  static constexpr std::size_t kMaxRun = 32;
+
   explicit DpiInstance(std::string name, InstanceConfig config = {});
 
   const std::string& instance_name() const noexcept { return name_; }
@@ -225,52 +282,48 @@ class DpiInstance {
   std::shared_ptr<const dpi::Engine> engine_snapshot() const;
   const dpi::Engine* engine() const { return engine_snapshot().get(); }
 
-  /// Full data-plane processing of one packet: resolves the policy-chain
-  /// tag, scans, annotates/marks, and produces result output per the
-  /// configured mode. Packets without a known chain tag pass through
+  /// Full data-plane processing of one packet: the three stages on a
+  /// one-packet bucket. Packets without a known chain tag pass through
   /// untouched. Thread-safe; packets of distinct shards process in
   /// parallel.
   ProcessOutput process(net::Packet packet);
 
   /// Batched counterpart of process(): partitions the packets by shard and
-  /// runs the full per-packet path bucket-at-a-time on the pool workers —
-  /// one shard-lock acquisition and one pool job per shard, not per packet.
+  /// runs the stages on each shard's bucket on the pool workers — one
+  /// shard-lock acquisition and one pool job per shard, not per packet.
   /// Outputs come back in submission order, and per-flow processing order
   /// is preserved, so the outputs are identical to calling process() on
-  /// each packet in turn.
+  /// each packet in turn. Rethrows the first exception a bucket threw once
+  /// every bucket is done.
   std::vector<ProcessOutput> process_batch(std::vector<net::Packet> packets);
 
-  /// Scan-only fast path used by throughput benches: no packet object
-  /// overhead, still updates telemetry and flow state. Thread-safe.
+  /// Scans one normalized payload (the scan stage alone): no packet object,
+  /// still updates telemetry and flow state. Thread-safe.
   dpi::ScanResult scan(dpi::ChainId chain, const net::FiveTuple& flow,
                        BytesView payload);
 
-  /// Batched ingest: partitions the items by shard and scans each shard's
-  /// share on its pool worker (inline when num_workers == 1). Results are
-  /// returned in submission order. Packets of one flow always land on the
-  /// same shard and are scanned in submission order, so the match sets are
-  /// identical for every worker count.
+  /// Batched scan stage: partitions the items by shard and scans each
+  /// shard's share on its pool worker (inline when num_workers == 1).
+  /// Results are returned in submission order. Packets of one flow always
+  /// land on the same shard and are scanned in submission order, so the
+  /// match sets are identical for every worker count. Rethrows the first
+  /// exception a bucket threw (e.g. an unknown chain) once every bucket is
+  /// done.
   std::vector<dpi::ScanResult> scan_batch(const std::vector<ScanItem>& items);
-
-  /// In-place variant of scan_batch() writing into `out` (resized to
-  /// items.size()); the ingest pipeline reuses a per-batch results vector
-  /// so steady-state batches allocate nothing.
-  void scan_batch_into(const std::vector<ScanItem>& items,
-                       std::vector<dpi::ScanResult>& out);
 
   /// Scans `count` items selected by `indices` — all of which must belong
   /// to shard `shard` — under that shard's lock, writing each result to
-  /// out[indices[k]]. The asynchronous ingest path calls this from
-  /// per-shard pool jobs; scan_batch_into() is the synchronous wrapper.
-  void scan_bucket(std::size_t shard, const std::vector<ScanItem>& items,
+  /// out[indices[k]]. scan_batch() jobs and the ingest pipeline's per-shard
+  /// jobs call this.
+  void scan_bucket(std::size_t shard, const ScanItem* items,
                    const std::uint32_t* indices, std::size_t count,
-                   std::vector<dpi::ScanResult>& out);
+                   dpi::ScanResult* out);
 
   /// Shard owning `flow` (canonical-hash placement). Public so the ingest
   /// pipeline can partition batches and tests can target — or deliberately
   /// stall — a specific shard's worker.
   std::size_t shard_of_flow(const net::FiveTuple& flow) const noexcept {
-    return shard_index(flow);
+    return static_cast<std::size_t>(flow.canonical().hash()) % shards_.size();
   }
 
   /// The data-plane worker pool. The ingest pipeline submits its per-shard
@@ -278,24 +331,17 @@ class DpiInstance {
   /// per-flow ordering guarantee across batches.
   ScanPool& scan_pool() noexcept { return pool_; }
 
-  /// Batch-granular ingest instruments (all-null when metrics disabled).
+  /// Batch-granular ingest instruments.
   const IngestInstruments& ingest_instruments() const noexcept {
     return ingest_obs_;
   }
 
-  /// Telemetry accessors aggregate per-shard counters sampled under the
-  /// shard locks, so the controller's monitor thread can read while
-  /// scanners are running.
+  /// Sums of the shard<i>.* registry counters. Lock-free: each counter only
+  /// grows, so successive reads never decrease; consumers derive windows by
+  /// differencing.
   InstanceTelemetry telemetry() const;
+  /// Per-chain counters, sampled under the shard locks.
   std::map<dpi::ChainId, ChainTelemetry> chain_telemetry() const;
-
-  /// Snapshot-and-reset: atomically (per shard, under the shard mutex)
-  /// captures and zeroes each shard's counters and returns their sum, so a
-  /// windowed consumer never loses counts to a concurrent scan — every
-  /// packet lands either in the returned snapshot or in the next window.
-  /// The obs registry is monotonic and is NOT reset (rates are derived by
-  /// differencing snapshots).
-  InstanceTelemetry reset_telemetry();
 
   /// Obs layer: per-shard instruments (shard<i>.* counters, scan-latency
   /// and pool queue-wait histograms) and the optional scan trace ring.
@@ -345,57 +391,72 @@ class DpiInstance {
       const std::vector<std::pair<net::FiveTuple, dpi::FlowCursor>>& flows);
 
  private:
-  /// Per-shard obs instruments, resolved once at construction so the scan
-  /// path records through stable pointers without touching the registry.
-  /// All-null when InstanceConfig::metrics is false.
-  struct ShardInstruments {
-    obs::Histogram* scan_ns = nullptr;
-    obs::Counter* packets = nullptr;
-    obs::Counter* bytes = nullptr;
-    obs::Counter* raw_hits = nullptr;
-    obs::Counter* anchor_hits = nullptr;
-    obs::Counter* regex_evals = nullptr;
-    obs::Counter* regex_matches = nullptr;
-    obs::Counter* flow_evictions = nullptr;
-    obs::Gauge* flow_occupancy = nullptr;
-    // Reassembly ambiguity/eviction counters (shard<i>.reassembly.*).
-    obs::Counter* reassembly_dropped = nullptr;
-    obs::Counter* reassembly_duplicate_bytes = nullptr;
-    obs::Counter* reassembly_ambiguous = nullptr;
-    obs::Counter* reassembly_conflicting_bytes = nullptr;
-    obs::Counter* reassembly_stream_evictions = nullptr;
-    obs::Counter* reassembly_streams_closed = nullptr;
-    obs::Counter* reassembly_ignored_fins = nullptr;
-    obs::Counter* reassembly_ignored_rsts = nullptr;
-    // Defragmentation counters (shard<i>.defrag.*).
-    obs::Counter* defrag_fragments = nullptr;
-    obs::Counter* defrag_completed = nullptr;
-    obs::Counter* defrag_rejected = nullptr;
-    obs::Counter* defrag_ambiguous = nullptr;
-    obs::Counter* defrag_evicted = nullptr;
+  /// What the instance counts per packet; each is one shard<i>.<name>
+  /// registry counter (names in instance.cpp).
+  enum Count : std::size_t {
+    kPackets,
+    kBytes,
+    kRawHits,
+    kAnchorHits,
+    kRegexEvals,
+    kRegexMatches,
+    kMatchPackets,
+    kResultBytes,
+    kPassThrough,
+    kDecompressedPackets,
+    kDecompressedBytes,
+    kReassemblyHeld,
+    kDefragHeld,
+    kFlowEvictions,
+    kNumCounts,
+  };
+
+  /// What the stages counted over one window; account() publishes it.
+  struct Tally {
+    /// One scan run: its per-chain counts and scan_ns samples.
+    struct Run {
+      dpi::ChainId chain;
+      std::uint32_t packets;
+      std::uint64_t bytes;
+      std::uint64_t raw_hits;
+      std::uint64_t ns;
+    };
+    std::array<std::uint64_t, kNumCounts> n{};
+    std::array<Run, kMaxRun> runs;
+    std::size_t num_runs = 0;
+  };
+
+  /// Stage buffers of one shard, reused window after window.
+  struct Staging {
+    std::size_t size = 0;  ///< packets normalize handed to the scan stage
+    std::array<std::uint32_t, kMaxRun> packet{};  ///< their caller indices
+    std::array<ScanItem, kMaxRun> items;
+    std::array<dpi::ScanResult, kMaxRun> results;
+    std::array<Bytes, kMaxRun> bytes;  ///< reassembled or inflated payloads
+    /// One scan run: its payloads, its flows' cursors, the engine's results.
+    std::vector<BytesView> payloads;
+    std::vector<dpi::FlowCursor> cursors;
+    std::vector<dpi::ScanResult> run_results;
   };
 
   /// Everything a data-plane worker touches, under one mutex. Flows are
   /// owned by exactly one shard (canonical-hash placement), so shard
-  /// mutexes never nest. `obs` and `index` are written once at construction
-  /// (before any worker exists) and read-only afterwards, so they stay
-  /// unguarded; everything the scan path mutates is GUARDED_BY(mu).
+  /// mutexes never nest. The instrument pointers and `index` are written
+  /// once at construction (before any worker exists) and read-only
+  /// afterwards, so they stay unguarded; everything the stages mutate is
+  /// GUARDED_BY(mu).
   struct Shard {
     mutable Mutex mu;
     std::shared_ptr<const dpi::Engine> engine DPISVC_GUARDED_BY(mu);
     dpi::FlowTable flows DPISVC_GUARDED_BY(mu);
     net::FlowReassembler reassembler DPISVC_GUARDED_BY(mu);
     net::IpDefragmenter defrag DPISVC_GUARDED_BY(mu);
-    InstanceTelemetry telemetry DPISVC_GUARDED_BY(mu);
     std::map<dpi::ChainId, ChainTelemetry> chain_telemetry
         DPISVC_GUARDED_BY(mu);
-    /// Last values published to the obs counters; the process() path adds
-    /// the delta against the reassembler/defragmenter totals after each
-    /// feed, so the monotonic obs counters track the monotonic stats blocks
-    /// without double counting.
-    net::ReassemblyStats obs_reassembly DPISVC_GUARDED_BY(mu);
-    net::DefragStats obs_defrag DPISVC_GUARDED_BY(mu);
-    ShardInstruments obs;
+    Staging staging DPISVC_GUARDED_BY(mu);
+    std::array<obs::Counter*, kNumCounts> counters{};
+    obs::Histogram* scan_ns = nullptr;
+    obs::Gauge* flow_occupancy = nullptr;
     std::uint32_t index = 0;
 
     Shard(std::size_t max_flows, const net::ReassemblyConfig& reassembly,
@@ -404,45 +465,39 @@ class DpiInstance {
   };
 
   Shard& shard_of(const net::FiveTuple& flow) noexcept {
-    return *shards_[shard_index(flow)];
-  }
-  std::size_t shard_index(const net::FiveTuple& flow) const noexcept {
-    return static_cast<std::size_t>(flow.canonical().hash()) % shards_.size();
+    return *shards_[shard_of_flow(flow)];
   }
 
-  net::MatchReport build_report(dpi::ChainId chain, std::uint64_t packet_ref,
-                                const dpi::ScanResult& scan) const;
-  std::optional<Bytes> maybe_decompress(BytesView payload);
-  /// Scan body shared by scan(), process() and scan_batch(); the caller
-  /// must hold shard.mu (compiler-enforced under DPISVC_THREAD_SAFETY).
-  dpi::ScanResult scan_on_shard(Shard& shard, dpi::ChainId chain,
-                                const net::FiveTuple& flow, BytesView payload)
+  /// The per-shard routine: normalize → scan → emit → account over windows
+  /// of at most kMaxRun packets. packets[indices[k]] all belong to shard
+  /// `shard`; each output lands at out[indices[k]].
+  void process_bucket(std::size_t shard, net::Packet* packets,
+                      const std::uint32_t* indices, std::size_t count,
+                      ProcessOutput* out);
+  /// Normalize stage: stages the window's scannable packets in
+  /// shard.staging; the rest (no known chain, held fragment or segment) get
+  /// their output here, unchanged.
+  void normalize(Shard& shard, net::Packet* packets,
+                 const std::uint32_t* indices, std::size_t count,
+                 ProcessOutput* out, Tally& tally) DPISVC_REQUIRES(shard.mu);
+  /// Scan stage over count <= kMaxRun items: the only data-path code that
+  /// calls the engine or touches the flow table.
+  void scan_window(Shard& shard, const ScanItem* items,
+                   const std::uint32_t* indices, std::size_t count,
+                   dpi::ScanResult* out, Tally& tally)
       DPISVC_REQUIRES(shard.mu);
-  /// Scans a same-chain run of a shard's bucket through the engine's
-  /// interleaved batch path (several flows' DFA walks advance per pass).
-  /// indices[0..count) select items; results land in out[indices[k]].
-  /// Match results are byte-identical to scanning the run sequentially —
-  /// scan_batch() callers see no difference besides throughput.
-  void scan_run_on_shard(Shard& shard, dpi::ChainId chain,
-                         const std::vector<ScanItem>& items,
-                         const std::uint32_t* indices, std::size_t count,
-                         std::vector<dpi::ScanResult>& out)
-      DPISVC_REQUIRES(shard.mu);
-  /// Full per-packet path under the shard lock (the body of process();
-  /// process_batch() runs it bucket-at-a-time from pool jobs).
-  ProcessOutput process_on_shard(Shard& shard, net::Packet packet)
-      DPISVC_REQUIRES(shard.mu);
-  /// ScanPool::JobFn trampolines for the batched entry points: plain
-  /// function pointer + context struct, so a steady-state batch dispatch
-  /// allocates nothing (the old path heap-allocated a std::function per
-  /// shard per batch).
-  static void scan_batch_job(void* ctx, std::size_t shard);
-  static void process_batch_job(void* ctx, std::size_t shard);
+  /// Emit stage for the packets staged by normalize().
+  void emit(Shard& shard, net::Packet* packets, ProcessOutput* out,
+            Tally& tally) DPISVC_REQUIRES(shard.mu);
+  /// The one writer of the shard<i>.* counters and the per-chain map.
+  void account(Shard& shard, const Tally& tally) DPISVC_REQUIRES(shard.mu);
+  /// Runs bucket(shard, indices, count) for every shard's non-empty share
+  /// of an n-item batch on the pool, then rethrows the first exception.
+  template <typename FlowOf, typename Bucket>
+  void run_buckets(std::size_t n, FlowOf&& flow_of, Bucket&& bucket);
+  std::optional<Bytes> maybe_decompress(BytesView payload) const;
   static ScanPool::Instruments make_pool_instruments(
       obs::MetricsRegistry& metrics, const InstanceConfig& config);
-  /// Adds the delta between the shard's reassembler/defragmenter stat
-  /// blocks and the last published values to the obs counters.
-  void publish_evasion_metrics(Shard& shard) DPISVC_REQUIRES(shard.mu);
 
   std::string name_;
   InstanceConfig config_;
@@ -459,6 +514,43 @@ class DpiInstance {
   /// Declared before pool_ so workers never outlive the shards they touch.
   std::vector<std::unique_ptr<Shard>> shards_;
   ScanPool pool_;
+};
+
+/// Stable counting sort of a batch by owning shard: bucket(s) lists, in
+/// submission order, the indices of the items shard s owns. Stability is
+/// what preserves per-flow packet order through the partition. The vectors
+/// keep their capacity, so steady-state partitioning allocates nothing.
+class ShardPartition {
+ public:
+  /// flow_of(i) names item i's five-tuple, i in [0, n).
+  template <typename FlowOf>
+  void build(const DpiInstance& instance, std::size_t n, FlowOf&& flow_of) {
+    const std::size_t shards = instance.num_shards();
+    shard_of_.resize(n);
+    offsets_.assign(shards + 1, 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      shard_of_[i] =
+          static_cast<std::uint32_t>(instance.shard_of_flow(flow_of(i)));
+      ++offsets_[shard_of_[i] + 1];
+    }
+    for (std::size_t s = 0; s < shards; ++s) offsets_[s + 1] += offsets_[s];
+    cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+    order_.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) order_[cursor_[shard_of_[i]]++] = i;
+  }
+
+  const std::uint32_t* bucket(std::size_t shard) const noexcept {
+    return order_.data() + offsets_[shard];
+  }
+  std::size_t size(std::size_t shard) const noexcept {
+    return offsets_[shard + 1] - offsets_[shard];
+  }
+
+ private:
+  std::vector<std::uint32_t> shard_of_;
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> cursor_;
+  std::vector<std::uint32_t> order_;
 };
 
 }  // namespace dpisvc::service

@@ -12,12 +12,6 @@
 
 namespace dpisvc::service {
 
-/// Correlation key tying a dedicated result packet to its data packet.
-inline std::uint64_t packet_ref_of(const net::Packet& packet) noexcept {
-  return packet.tuple.hash() ^
-         (static_cast<std::uint64_t>(packet.ip_id) << 48);
-}
-
 class InstanceNode : public netsim::Node {
  public:
   /// `batch_packets` == 0 (the default) processes each packet inside

@@ -9,8 +9,7 @@
 //      sets compare directly).
 // On top of the matrix, targeted cases pin the policy-divergence semantics
 // (first_wins vs last_wins vs reject_ambiguous under conflicting overlaps)
-// and the DpiInstance wiring (counters in stats_json / obs metrics /
-// TELEMETRY_REPORT).
+// and the DpiInstance wiring (counters in stats_json / TELEMETRY_REPORT).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -365,10 +364,6 @@ TEST(EvasionInstance, AmbiguityCountersSurfaceInStatsAndTelemetry) {
                 reassembly.at("ambiguous_overlaps").as_int()),
             rs.ambiguous_overlaps);
   EXPECT_GT(reassembly.at("conflicting_overlap_bytes").as_int(), 0);
-
-  // obs metrics: the per-shard counter is registered and non-zero.
-  const std::string dumped = json::dump(stats);
-  EXPECT_NE(dumped.find("reassembly.ambiguous_overlaps"), std::string::npos);
 
   // TELEMETRY_REPORT round trip carries the evasion signal to the
   // controller.

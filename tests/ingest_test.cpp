@@ -13,9 +13,13 @@
 //    overload behaviors — kShed bounds memory by dropping whole packets
 //    (counted, accepted subset still byte-identical), kBlock bounds memory
 //    by stalling the producer and eventually delivers everything;
-//  - process_batch() ≡ per-packet process(), batched InstanceNode ≡
-//    per-packet InstanceNode through a fabric (on_idle flushes stragglers),
-//    and Middlebox::apply_report_batch ≡ per-packet apply_report_entries.
+//  - process_batch() ≡ per-packet process(), with and without
+//    normalization (defrag, reassembly, decompression) ahead of the scan,
+//    batched InstanceNode ≡ per-packet InstanceNode through a fabric
+//    (on_idle flushes stragglers), and Middlebox::apply_report_batch ≡
+//    per-packet apply_report_entries;
+//  - a shard job that throws reaches the batch caller as an exception, for
+//    every worker count, without hanging or wedging the instance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,12 +35,14 @@
 #include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "common/spsc_ring.hpp"
+#include "compress/deflate.hpp"
 #include "dpi/engine.hpp"
 #include "mbox/middlebox.hpp"
 #include "netsim/fabric.hpp"
 #include "service/ingest.hpp"
 #include "service/instance.hpp"
 #include "service/instance_node.hpp"
+#include "workload/adversarial_gen.hpp"
 
 namespace dpisvc::service {
 namespace {
@@ -717,6 +724,249 @@ TEST(ProcessBatch, MatchesPerPacketProcess) {
     EXPECT_EQ(got[i], expected[i]) << "packet " << i;
   }
   EXPECT_EQ(batched.telemetry().packets, seq.telemetry().packets);
+}
+
+/// Everything a data packet and its result carry out of the instance.
+std::string serialize_full(const ProcessOutput& out) {
+  std::ostringstream s;
+  s << to_string(out.data.payload) << "|" << out.data.has_match_mark() << "|"
+    << out.had_matches << "|" << out.data.tags.size() << "|";
+  if (out.data.service_header) {
+    s << to_string(out.data.service_header->metadata);
+  }
+  s << "|";
+  if (out.result) s << to_string(out.result->service_header->metadata);
+  return s.str();
+}
+
+std::string serialize_books(const DpiInstance& inst) {
+  const InstanceTelemetry t = inst.telemetry();
+  const net::ReassemblyStats r = inst.reassembly_stats();
+  const net::DefragStats d = inst.defrag_stats();
+  std::ostringstream s;
+  s << "telemetry " << t.packets << " " << t.bytes << " " << t.raw_hits << " "
+    << t.match_packets << " " << t.result_bytes << " " << t.pass_through
+    << " " << t.decompressed_packets << " " << t.decompressed_bytes << " "
+    << t.reassembly_held << " " << t.defrag_held << " " << t.flow_evictions
+    << "\nreassembly " << r.dropped_segments << " " << r.duplicate_bytes << " "
+    << r.ambiguous_overlaps << " " << r.conflicting_overlap_bytes << " "
+    << r.stream_evictions << " " << r.streams_closed << " " << r.ignored_fins
+    << " " << r.ignored_rsts << "\ndefrag " << d.fragments << " "
+    << d.datagrams_completed << " " << d.rejected_tiny << " "
+    << d.rejected_bounds << " " << d.ambiguous_fragments << " "
+    << d.conflicting_bytes << " " << d.evicted_incomplete;
+  return s.str();
+}
+
+/// Interleaved multi-flow trace for the normalize stage: evasion streams
+/// (shuffled 24 B segments, reversed fragments, retransmits, a sequence
+/// wrap), in-order flows, and flows of gzip bodies, on both chains.
+std::vector<net::Packet> make_normalization_trace() {
+  Rng rng(1460);
+  std::vector<std::vector<net::Packet>> flows;
+  auto tuple = [&](std::size_t f) {
+    return net::FiveTuple{
+        net::Ipv4Addr(10, 2, static_cast<std::uint8_t>(f), 1),
+        net::Ipv4Addr(10, 3, 3, 3), static_cast<std::uint16_t>(4000 + f), 80,
+        net::IpProto::kTcp};
+  };
+  auto stream = [&](std::size_t f) {
+    std::string text = "GET /flow" + std::to_string(f) + " HTTP/1.1 ";
+    for (int i = 0; i < 12; ++i) {
+      switch (rng.index(4)) {
+        case 0: text += "splitpattern "; break;
+        case 1: text += "evil "; break;
+        case 2: text += "virus "; break;
+        default:
+          text += std::string(1 + rng.index(30),
+                              static_cast<char>('a' + rng.index(26)));
+      }
+    }
+    return to_bytes(text);
+  };
+  for (std::size_t f = 0; f < 36; ++f) {
+    workload::EvasionSpec spec;
+    spec.seed = 100 + f;
+    spec.first_ip_id = static_cast<std::uint16_t>(1 + f * 100);
+    switch (f % 6) {
+      case 0: spec.segment_bytes = 24; spec.shuffle = true; break;
+      case 1: spec.segment_bytes = 48; spec.fragment_payload = 16;
+              spec.fragment_reverse = f % 4 == 1; break;
+      case 2: spec.segment_bytes = 24; spec.shuffle = true;
+              spec.retransmit_rate = 0.3; break;
+      case 3: spec.segment_bytes = 24; spec.shuffle = true;
+              spec.initial_seq = 0xFFFFFF00u; break;
+      default: spec.segment_bytes = 40; break;  // in order
+    }
+    flows.push_back(
+        workload::make_evasion_trace(tuple(f), stream(f), spec).packets);
+  }
+  for (std::size_t f = 36; f < 42; ++f) {
+    // In-order flows whose segments are gzip members: each released chunk
+    // starts with the gzip magic, so the normalize stage inflates it.
+    std::vector<net::Packet> packets;
+    std::uint32_t seq = 1000;
+    for (int k = 0; k < 4; ++k) {
+      net::Packet p;
+      p.tuple = tuple(f);
+      p.ip_id = static_cast<std::uint16_t>(k + 1);
+      p.tcp_seq = seq;
+      p.payload = compress::gzip_compress(stream(f));
+      seq += static_cast<std::uint32_t>(p.payload.size());
+      packets.push_back(std::move(p));
+    }
+    flows.push_back(std::move(packets));
+  }
+  std::vector<net::Packet> trace;
+  std::vector<std::size_t> next(flows.size(), 0);
+  for (;;) {
+    std::vector<std::size_t> pending;
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      if (next[f] < flows[f].size()) pending.push_back(f);
+    }
+    if (pending.empty()) break;
+    const std::size_t f = pending[rng.index(pending.size())];
+    net::Packet p = flows[f][next[f]++];
+    // Even flows on the stateful chain, odd ones on the stateless chain.
+    p.push_tag(net::TagKind::kPolicyChain, f % 2 == 0 ? 2u : 1u);
+    trace.push_back(std::move(p));
+  }
+  return trace;
+}
+
+TEST(ProcessBatch, MatchesPerPacketProcessWithNormalization) {
+  const auto engine = test_engine();
+  const std::vector<net::Packet> trace = make_normalization_trace();
+  constexpr std::size_t kBatch = 160;
+
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    InstanceConfig config;
+    config.num_workers = workers;
+    config.reassemble_tcp = true;
+    config.defragment_ip = true;
+    config.decompress_payloads = true;
+    DpiInstance seq("seq" + std::to_string(workers), config);
+    seq.load_engine(engine, 1);
+    DpiInstance batched("batched" + std::to_string(workers), config);
+    batched.load_engine(engine, 1);
+
+    std::vector<std::string> expected;
+    for (const net::Packet& p : trace) {
+      expected.push_back(serialize_full(seq.process(p)));
+    }
+    std::vector<std::string> got;
+    std::size_t largest_bucket = 0;
+    for (std::size_t base = 0; base < trace.size(); base += kBatch) {
+      const std::size_t end = std::min(base + kBatch, trace.size());
+      std::vector<net::Packet> packets(trace.begin() + base,
+                                       trace.begin() + end);
+      std::vector<std::size_t> bucket(workers, 0);
+      for (const net::Packet& p : packets) {
+        largest_bucket =
+            std::max(largest_bucket, ++bucket[batched.shard_of_flow(p.tuple)]);
+      }
+      for (const ProcessOutput& out :
+           batched.process_batch(std::move(packets))) {
+        got.push_back(serialize_full(out));
+      }
+    }
+    ASSERT_GT(largest_bucket, DpiInstance::kMaxRun)
+        << "a shard bucket must span several stage windows";
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i])
+          << "workers=" << workers << " packet " << i;
+    }
+    EXPECT_EQ(serialize_books(batched), serialize_books(seq))
+        << "workers=" << workers;
+
+    // The trace must reach every normalize branch and the emit stage.
+    const InstanceTelemetry t = seq.telemetry();
+    EXPECT_GT(t.reassembly_held, 0u);
+    EXPECT_GT(t.defrag_held, 0u);
+    EXPECT_GT(t.decompressed_packets, 0u);
+    EXPECT_GT(t.match_packets, 0u);
+    EXPECT_GT(seq.reassembly_stats().duplicate_bytes, 0u);
+  }
+}
+
+// --- a throwing shard job reaches the caller --------------------------------
+
+TEST(JobErrors, UnknownChainRethrowsToCallerForEveryWorkerCount) {
+  const auto engine = test_engine();
+  const auto trace = make_trace(8);
+  ASSERT_GE(trace.size(), 32u);
+  std::vector<ScanItem> items;
+  for (std::size_t i = 0; i < 16; ++i) {
+    items.push_back(
+        {trace[i].chain, trace[i].flow, BytesView(trace[i].payload)});
+  }
+  items[5].chain = 99;  // no such chain: Engine::chain_stateful throws
+  // What the instance scans afterwards: the rest of the trace on flows the
+  // failed batch never touched.
+  std::vector<ScanItem> after;
+  for (std::size_t i = 16; i < trace.size(); ++i) {
+    net::FiveTuple flow = trace[i].flow;
+    flow.dst_port = 8080;
+    after.push_back({trace[i].chain, flow, BytesView(trace[i].payload)});
+  }
+  DpiInstance reference("reference", InstanceConfig{});
+  reference.load_engine(engine, 1);
+  const std::string expected = serialize(reference.scan_batch(after));
+
+  for (const std::size_t workers : {1u, 4u}) {
+    for (const bool ingest : {false, true}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   (ingest ? " IngestPipeline" : " scan_batch"));
+      InstanceConfig config;
+      config.num_workers = workers;
+      DpiInstance inst("errors", config);
+      inst.load_engine(engine, 1);
+
+      if (!ingest) {
+        EXPECT_THROW((void)inst.scan_batch(items), std::invalid_argument);
+        EXPECT_EQ(serialize(inst.scan_batch(after)), expected);
+        continue;
+      }
+      IngestConfig ingest_config;
+      ingest_config.batch_packets = 4;
+      std::vector<dpi::ScanResult> results;
+      IngestPipeline pipeline(
+          inst,
+          [&](const BatchHandle& batch) {
+            for (const auto& r : batch.results()) results.push_back(r);
+          },
+          ingest_config);
+      std::size_t thrown = 0;
+      auto attempt = [&](const auto& call) {
+        try {
+          call();
+        } catch (const std::invalid_argument&) {
+          ++thrown;
+        }
+      };
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        attempt([&] {
+          pipeline.push(items[i].chain, items[i].flow, items[i].payload, i);
+        });
+      }
+      // The call that meets the failed batch throws; the batches behind it
+      // stay queued, in order, for the next drain.
+      attempt([&] { pipeline.drain(); });
+      pipeline.drain();
+      EXPECT_EQ(thrown, 1u);
+      // Exactly the failed batch is missing; every other one was delivered.
+      EXPECT_EQ(results.size() + ingest_config.batch_packets,
+                pipeline.packets_pushed());
+
+      results.clear();
+      for (const ScanItem& item : after) {
+        ASSERT_TRUE(pipeline.push(item.chain, item.flow, item.payload));
+      }
+      pipeline.drain();
+      EXPECT_EQ(serialize(results), expected);
+    }
+  }
 }
 
 // --- batched InstanceNode through the fabric ---------------------------------

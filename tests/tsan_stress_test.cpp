@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,13 +282,13 @@ TEST(TsanStress, ShardedPoolScanVsSwapVsMigration) {
 }
 
 
-// Snapshot-and-reset coherence: while scanner threads run, a telemetry
-// thread repeatedly drains the counters via reset_telemetry(). Every packet
-// must land in exactly one snapshot (or in the final residual) — the sum of
-// all drained windows plus what is left equals the total scanned. The
-// wipe-only predecessor of reset_telemetry() lost the counts accumulated
-// between its reads and its writes.
-TEST(TsanStress, ResetTelemetryCoherentUnderConcurrentScans) {
+// Registry-backed telemetry under concurrent scans: scanner threads run
+// while a sampler thread loops over telemetry() and chain_telemetry(). The
+// shard<i>.* counters are the only book, written once per stage window and
+// read lock-free, so every sample must be non-decreasing field by field, and
+// the final totals must equal what was scanned — and the per-shard counters
+// they are summed from.
+TEST(TsanStress, TelemetrySamplesMonotonicUnderConcurrentScans) {
   dpi::EngineSpec spec;
   spec.middleboxes = {dpi::MiddleboxProfile{1, "ids"}};
   spec.exact_patterns = {dpi::ExactPatternSpec{"attack", 1, 0}};
@@ -308,14 +309,28 @@ TEST(TsanStress, ResetTelemetryCoherentUnderConcurrentScans) {
   constexpr int kScanners = 3;
   constexpr int kRepeats = 8;
   std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> drained_packets{0};
-  std::atomic<std::uint64_t> drained_bytes{0};
+  std::atomic<std::uint64_t> samples{0};
+  std::atomic<bool> decreased{false};
 
-  std::thread reaper([&] {
+  std::thread sampler([&] {
+    InstanceTelemetry last;
+    ChainTelemetry last_chain;
     while (!done.load(std::memory_order_acquire)) {
-      const InstanceTelemetry window = inst.reset_telemetry();
-      drained_packets.fetch_add(window.packets, std::memory_order_relaxed);
-      drained_bytes.fetch_add(window.bytes, std::memory_order_relaxed);
+      const InstanceTelemetry t = inst.telemetry();
+      const std::map<dpi::ChainId, ChainTelemetry> chains =
+          inst.chain_telemetry();
+      const ChainTelemetry c =
+          chains.count(1) != 0 ? chains.at(1) : ChainTelemetry{};
+      if (t.packets < last.packets || t.bytes < last.bytes ||
+          t.raw_hits < last.raw_hits || t.match_packets < last.match_packets ||
+          t.busy_seconds < last.busy_seconds ||
+          c.packets < last_chain.packets || c.bytes < last_chain.bytes ||
+          c.raw_hits < last_chain.raw_hits) {
+        decreased.store(true, std::memory_order_relaxed);
+      }
+      last = t;
+      last_chain = c;
+      samples.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::yield();
     }
   });
@@ -323,38 +338,43 @@ TEST(TsanStress, ResetTelemetryCoherentUnderConcurrentScans) {
   std::vector<std::thread> scanners;
   scanners.reserve(kScanners);
   for (int s = 0; s < kScanners; ++s) {
-    scanners.emplace_back([&] {
+    scanners.emplace_back([&, s] {
       for (int rep = 0; rep < kRepeats; ++rep) {
-        for (const auto& p : trace) {
-          (void)inst.scan(1, p.tuple, p.payload);
+        if ((s + rep) % 2 == 0) {
+          for (const auto& p : trace) (void)inst.scan(1, p.tuple, p.payload);
+          continue;
         }
+        std::vector<ScanItem> items;
+        for (const auto& p : trace) items.push_back({1, p.tuple, p.payload});
+        (void)inst.scan_batch(items);
       }
     });
   }
   for (auto& t : scanners) t.join();
   done.store(true, std::memory_order_release);
-  reaper.join();
+  sampler.join();
 
-  // Residual counts left after the last drain.
-  const InstanceTelemetry rest = inst.reset_telemetry();
+  EXPECT_GT(samples.load(), 0u);
+  EXPECT_FALSE(decreased.load()) << "a telemetry sample went backwards";
   const std::uint64_t expected_packets =
       static_cast<std::uint64_t>(kScanners) * kRepeats * trace.size();
   std::uint64_t expected_bytes = 0;
   for (const auto& p : trace) expected_bytes += p.payload.size();
   expected_bytes *= static_cast<std::uint64_t>(kScanners) * kRepeats;
 
-  EXPECT_EQ(drained_packets.load() + rest.packets, expected_packets);
-  EXPECT_EQ(drained_bytes.load() + rest.bytes, expected_bytes);
-  // The obs registry is NOT reset by reset_telemetry(): its counters hold
-  // the full total and must agree with the drained windows.
+  const InstanceTelemetry total = inst.telemetry();
+  EXPECT_EQ(total.packets, expected_packets);
+  EXPECT_EQ(total.bytes, expected_bytes);
+  EXPECT_EQ(inst.chain_telemetry().at(1).packets, expected_packets);
+  std::uint64_t shard_packets = 0;
   const json::Value snap = inst.metrics().snapshot();
-  std::uint64_t obs_packets = 0;
-  for (const auto& [key, value] : snap.at("counters").as_object()) {
-    if (key.size() > 8 && key.substr(key.size() - 8) == ".packets") {
-      obs_packets += static_cast<std::uint64_t>(value.as_number());
-    }
+  for (std::size_t i = 0; i < inst.num_shards(); ++i) {
+    shard_packets += static_cast<std::uint64_t>(
+        snap.at("counters")
+            .at("shard" + std::to_string(i) + ".packets")
+            .as_number());
   }
-  EXPECT_EQ(obs_packets, expected_packets);
+  EXPECT_EQ(shard_packets, expected_packets);
 }
 
 }  // namespace
