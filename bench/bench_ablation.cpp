@@ -1,13 +1,12 @@
 // Ablations of the design choices DESIGN.md calls out.
 //
-//  A. Matching-engine choice (§2.2, §4.3.1): full-table AC vs failure-link
-//     (compressed) AC vs Wu-Manber, on benign and adversarial traffic.
+//  A. Matching-engine choice (§4.3.1): full-table AC vs failure-link
+//     (compressed) AC, on benign and adversarial traffic.
 //  B. The §5.1 accepting-state bitmap: scan cost with and without the
 //     bitmap short-circuit, on traffic whose matches belong to *inactive*
 //     middleboxes (the case the bitmap optimizes).
 //  C. Decompress-once (§1): one shared inflate + combined scan vs each of N
 //     middleboxes inflating and scanning on its own.
-#include "ac/wu_manber.hpp"
 #include "bench_util.hpp"
 #include "compress/deflate.hpp"
 #include "compress/inflate.hpp"
@@ -17,26 +16,6 @@ using namespace dpisvc::bench;
 
 namespace {
 
-double measure_wm_mbps(const ac::WuManber& matcher,
-                       const workload::Trace& trace,
-                       std::uint64_t min_bytes) {
-  const std::uint64_t trace_bytes = workload::total_payload_bytes(trace);
-  volatile std::uint64_t sink = 0;
-  std::uint64_t scanned = 0;
-  Stopwatch watch;
-  while (scanned < min_bytes) {
-    for (const auto& p : trace) {
-      std::uint64_t local = 0;
-      matcher.scan(p.payload,
-                   [&](std::uint64_t end, ac::PatternIndex) { local += end; });
-      sink = sink + local;
-    }
-    scanned += trace_bytes;
-  }
-  (void)sink;
-  return to_mbps(scanned, watch.elapsed_seconds());
-}
-
 void engines_ablation() {
   std::printf("\n--- A. matching engine choice ---\n");
   const auto patterns = workload::generate_patterns(workload::snort_like(4356));
@@ -44,7 +23,6 @@ void engines_ablation() {
   dpi::EngineConfig compressed_config;
   compressed_config.use_compressed_automaton = true;
   auto compressed = engine_for(patterns, compressed_config);
-  const ac::WuManber wm = ac::WuManber::build(patterns);
 
   const auto benign = benign_trace(patterns, 1500);
   workload::TrafficConfig attack_config;
@@ -64,11 +42,6 @@ void engines_ablation() {
               measure_scan_mbps(*compressed, 1, benign, kBytes),
               measure_scan_mbps(*compressed, 1, attack, kBytes),
               compressed->memory_bytes() / 1e6);
-  std::printf("%-24s %14.0f %14.0f %12.1f\n", "Wu-Manber",
-              measure_wm_mbps(wm, benign, kBytes),
-              measure_wm_mbps(wm, attack, kBytes),
-              wm.memory_bytes() / 1e6);
-  std::printf("(Wu-Manber has no carried state: stateless scans only)\n");
 }
 
 dpi::EngineSpec bitmap_spec(const std::vector<std::string>& set1,

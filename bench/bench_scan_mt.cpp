@@ -34,8 +34,7 @@ namespace {
 /// Two-middlebox engine with both a stateless chain (1) and a stateful
 /// chain (2), over snort-like pattern sets — the virtual-DPI configuration
 /// the sharded instance serves in production.
-std::shared_ptr<const dpi::Engine> mt_engine(std::size_t num_patterns,
-                                             dpi::ScanKernel kernel) {
+std::shared_ptr<const dpi::Engine> mt_engine(std::size_t num_patterns) {
   dpi::EngineSpec spec;
   dpi::MiddleboxProfile ids;
   ids.id = 1;
@@ -54,9 +53,7 @@ std::shared_ptr<const dpi::Engine> mt_engine(std::size_t num_patterns,
   }
   spec.chains[1] = {1};     // stateless: no flow-table traffic
   spec.chains[2] = {1, 2};  // stateful: per-flow cursors on every packet
-  dpi::EngineConfig config;
-  config.kernel = kernel;
-  return dpi::Engine::compile(spec, config);
+  return dpi::Engine::compile(spec);
 }
 
 std::vector<service::ScanItem> items_for(const workload::Trace& trace,
@@ -127,11 +124,10 @@ int main(int argc, char** argv) {
   std::printf("trace: %zu packets x%d repeats, hardware threads: %u\n",
               num_packets, repeats, hw_threads);
 
-  const auto kernel_engine = mt_engine(300, dpi::ScanKernel::kBatched);
-  const auto scalar_engine = mt_engine(300, dpi::ScanKernel::kScalar);
+  const auto engine = mt_engine(300);
   const ac::KernelPolicy& policy = ac::kernel_policy();
   std::printf("kernel dispatch: %s%s\n", policy.reason,
-              kernel_engine->kernel_active() ? "" : " (kernel inactive)");
+              engine->kernel_active() ? "" : " (kernel inactive)");
 
   workload::TrafficConfig traffic;
   traffic.num_packets = num_packets;
@@ -143,31 +139,16 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
   json::Array series;
-  json::Object kernel_vs_scalar;
-  std::map<std::string, double> pps_at_workers;  // stateless kernel runs
+  std::map<std::string, double> pps_at_workers;  // stateless runs
 
   for (const char* kind : {"stateless", "stateful"}) {
     const dpi::ChainId chain = std::string(kind) == "stateless" ? 1 : 2;
     const auto items = items_for(trace, chain);
 
-    // Single-worker kernel-vs-scalar: same trace, same instance shape, only
-    // the scan walk differs — the direct measure of the batched kernel.
-    const RunResult scalar1 = run_config(scalar_engine, items, 1, repeats);
-    const RunResult kernel1 = run_config(kernel_engine, items, 1, repeats);
-    const double kernel_speedup =
-        scalar1.pps > 0.0 ? kernel1.pps / scalar1.pps : 0.0;
-    std::printf("\n%-10s 1-worker scalar %12.0f pps, kernel %12.0f pps "
-                "(%.2fx)\n",
-                kind, scalar1.pps, kernel1.pps, kernel_speedup);
-    kernel_vs_scalar[std::string("pps_scalar_1w_") + kind] = scalar1.pps;
-    kernel_vs_scalar[std::string("pps_kernel_1w_") + kind] = kernel1.pps;
-    kernel_vs_scalar[std::string("kernel_speedup_1w_") + kind] =
-        kernel_speedup;
-
-    std::printf("%-10s %8s %12s %12s %12s\n", kind, "workers", "pps",
+    std::printf("\n%-10s %8s %12s %12s %12s\n", kind, "workers", "pps",
                 "p50_us", "p99_us");
     for (const std::size_t workers : worker_counts) {
-      const RunResult r = run_config(kernel_engine, items, workers, repeats);
+      const RunResult r = run_config(engine, items, workers, repeats);
       std::printf("%-10s %8zu %12.0f %12.1f %12.1f\n", "", workers, r.pps,
                   r.p50_us, r.p99_us);
       series.push_back(json::Value(json::obj({
@@ -208,14 +189,11 @@ int main(int argc, char** argv) {
       {"num_flows", static_cast<double>(traffic.num_flows)},
       {"hardware_threads", static_cast<double>(hw_threads)},
       {"kernel_dispatch", std::string(policy.reason)},
-      {"kernel_active", kernel_engine->kernel_active()},
+      {"kernel_active", engine->kernel_active()},
       {"effective_workers", static_cast<double>(effective_workers)},
       {"scaling_limited_by_cpus", scaling_limited},
       {"speedup_stateless_4w", speedup_4w},
   });
-  for (const auto& [key, value] : kernel_vs_scalar) {
-    out[key] = value;
-  }
   out["series"] = json::Value(std::move(series));
   std::ofstream("BENCH_scan_mt.json") << json::dump(json::Value(out)) << "\n";
   std::printf("wrote BENCH_scan_mt.json\n");

@@ -1,15 +1,16 @@
-// Fuzz target: the batched scan kernel against its scalar oracle.
+// Fuzz target: the hot scan kernel against its scalar oracle.
 //
-// One engine (exact patterns with stop offsets, stateful + stateless
-// chains) is compiled once with the kernel forced on, so the hot layout
-// exists even under DPISVC_FORCE_SCALAR. The input bytes decode to a chain
-// selector and a packet sequence; every packet is scanned twice through
-// the same engine — scan_packet_as(kScalar) and scan_packet_as(kBatched) —
-// with independently carried flow cursors, and the packet list is also fed
-// through scan_batch_as both ways (the flow-interleaved lane path).
+// One spec (exact patterns with stop offsets, stateful + stateless chains)
+// is compiled twice: on the full table, which runs the hot kernel, and on
+// the compressed automaton, which numbers its states the same way and
+// never runs a kernel — the scalar reference. The input bytes decode to a
+// chain selector and a packet sequence; every packet is scanned through
+// both engines with independently carried flow cursors, and the packet
+// list is also fed through scan_batch on both (the flow-interleaved lane
+// path on the kernel engine).
 // Oracles:
 //  * no crash / sanitizer report on any packet sequence;
-//  * the batched kernel's results are byte-identical to the scalar loop's:
+//  * the kernel engine's results are byte-identical to the reference's:
 //    raw hits, bytes scanned, per-middlebox match sections and entries,
 //    and the resumed cursor (state + offset) — any divergence traps.
 // Packet lengths bias around the kernel's stride and interleave widths so
@@ -26,7 +27,7 @@ namespace {
 
 using namespace dpisvc;
 
-std::shared_ptr<const dpi::Engine> build_engine() {
+std::shared_ptr<const dpi::Engine> build_engine(bool compressed) {
   dpi::EngineSpec spec;
   auto mbox = [](dpi::MiddleboxId id, const char* name, bool stateful,
                  std::uint32_t stop) {
@@ -51,7 +52,7 @@ std::shared_ptr<const dpi::Engine> build_engine() {
   spec.chains[2] = {2};
   spec.chains[3] = {1};
   dpi::EngineConfig config;
-  config.kernel = dpi::ScanKernel::kBatched;
+  config.use_compressed_automaton = compressed;
   return dpi::Engine::compile(spec, config);
 }
 
@@ -76,7 +77,9 @@ bool same(const dpi::ScanResult& a, const dpi::ScanResult& b) {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  static const std::shared_ptr<const dpi::Engine> engine = build_engine();
+  static const std::shared_ptr<const dpi::Engine> engine = build_engine(false);
+  static const std::shared_ptr<const dpi::Engine> reference =
+      build_engine(true);
   if (size < 2) return 0;
 
   const dpi::ChainId chain = static_cast<dpi::ChainId>(1 + data[0] % 3);
@@ -101,21 +104,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   dpi::FlowCursor scalar_cursor;
   dpi::FlowCursor kernel_cursor;
   for (const BytesView packet : packets) {
-    const dpi::ScanResult ref = engine->scan_packet_as(
-        dpi::ScanKernel::kScalar, chain, packet, scalar_cursor);
-    const dpi::ScanResult got = engine->scan_packet_as(
-        dpi::ScanKernel::kBatched, chain, packet, kernel_cursor);
+    const dpi::ScanResult ref =
+        reference->scan_packet(chain, packet, scalar_cursor);
+    const dpi::ScanResult got = engine->scan_packet(chain, packet, kernel_cursor);
     if (!same(ref, got)) __builtin_trap();
     scalar_cursor = ref.cursor;
     kernel_cursor = got.cursor;
   }
 
   // Batch differential: the interleaved lane walk over stateless packets
-  // must equal the sequential scalar loop item-for-item.
-  const auto refs =
-      engine->scan_batch_as(dpi::ScanKernel::kScalar, chain, packets, nullptr);
-  const auto gots =
-      engine->scan_batch_as(dpi::ScanKernel::kBatched, chain, packets, nullptr);
+  // must equal the reference's scalar loop item-for-item.
+  const auto refs = reference->scan_batch(chain, packets, nullptr);
+  const auto gots = engine->scan_batch(chain, packets, nullptr);
   if (refs.size() != gots.size()) __builtin_trap();
   for (std::size_t i = 0; i < refs.size(); ++i) {
     if (!same(refs[i], gots[i])) __builtin_trap();

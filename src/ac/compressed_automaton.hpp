@@ -12,9 +12,13 @@
 // footprint stays cache-resident under adversarial traffic that is designed
 // to thrash a full table.
 //
-// State numbering matches FullAutomaton: accepting states are exactly
-// {0..num_accepting-1}, so match tables and bitmaps index identically across
-// the two representations built from the same trie.
+// State numbering matches FullAutomaton state for state: both renumber the
+// trie with the same pass (accepting states exactly {0..num_accepting-1},
+// then the rest in trie order), so match tables, bitmaps and the DFA state a
+// FlowCursor carries mean the same thing in the two representations built
+// from the same trie. verify::check_equivalence proves it transition by
+// transition; the kernel cross-check relies on it to use a compressed engine
+// as the scalar reference for a full-table one.
 #pragma once
 
 #include <cstdint>

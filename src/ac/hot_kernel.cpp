@@ -1,7 +1,6 @@
 #include "ac/hot_kernel.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "common/invariant.hpp"
@@ -11,17 +10,12 @@ namespace dpisvc::ac {
 const KernelPolicy& kernel_policy() {
   static const KernelPolicy policy = [] {
     KernelPolicy p;
-    const char* env = std::getenv("DPISVC_FORCE_SCALAR");
-    p.force_scalar = env != nullptr && env[0] != '\0' &&
-                     !(env[0] == '0' && env[1] == '\0');
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
     p.wide_interleave = __builtin_cpu_supports("avx2") != 0;
 #endif
     p.interleave = p.wide_interleave ? 8 : 4;
-    p.reason = p.force_scalar
-                   ? "scalar (DPISVC_FORCE_SCALAR)"
-                   : (p.wide_interleave ? "batched, interleave 8 (avx2)"
-                                        : "batched, interleave 4");
+    p.reason = p.wide_interleave ? "batched, interleave 8 (avx2)"
+                                 : "batched, interleave 4";
     return p;
   }();
   return policy;

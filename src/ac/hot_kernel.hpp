@@ -24,7 +24,8 @@
 //  * Transitions that leave the hot core are encoded as the kColdExit
 //    sentinel; the kernel returns the position and the full-table state and
 //    the caller finishes that packet with the scalar loop. When the whole
-//    automaton fits (the common case), no cold exits exist at all.
+//    automaton fits, no cold exits exist at all; an automaton of more than
+//    kMaxHotStates states leaves the core on its deepest states.
 //  * A multi-byte-stride walk (kStride bytes per iteration, class lookups
 //    issued up front) plus an interleaved mode that advances several
 //    independent flows per pass: the transition loads of different lanes
@@ -37,10 +38,10 @@
 // the inner loop free of calls; the engine replays the events through the
 // identical §5.1/§5.2 filtering it applies to the scalar path. The kernel
 // is portable C++ (no intrinsics required); cpu-feature detection only
-// widens the interleave factor where the memory subsystem can use it, and
-// DPISVC_FORCE_SCALAR pins every engine to the scalar loop (see
+// widens the interleave factor where the memory subsystem can use it (see
 // kernel_policy()). src/verify proves the layout equal to the full table
-// transition-for-transition and cross-checks scan results byte-for-byte.
+// transition-for-transition and cross-checks scan results byte-for-byte
+// against the compressed automaton, which never runs a kernel.
 #pragma once
 
 #include <array>
@@ -63,17 +64,14 @@ inline constexpr std::uint16_t kColdExit = 0xFFFF;
 /// Hot ids must stay below the sentinel.
 inline constexpr std::uint32_t kMaxHotStates = 0xFFFF;
 
-/// Process-wide scan-kernel dispatch policy, resolved once on first use.
+/// Process-wide interleave policy, resolved once on first use from the CPU.
 struct KernelPolicy {
-  /// DPISVC_FORCE_SCALAR was set (any value but "0"): every engine keeps
-  /// the scalar loop regardless of kernel availability.
-  bool force_scalar = false;
   /// CPU supports AVX2 (x86): the memory subsystem sustains enough
   /// outstanding misses to feed the wide interleave factor.
   bool wide_interleave = false;
   /// Flows advanced per interleaved pass (8 wide, 4 otherwise).
   std::uint32_t interleave = 4;
-  /// Human-readable dispatch decision for logs/benches.
+  /// Human-readable interleave decision for logs/benches.
   const char* reason = "";
 };
 

@@ -5,7 +5,6 @@
 #include <bit>
 #include <map>
 #include <stdexcept>
-#include <type_traits>
 
 #include "ac/trie.hpp"
 #include "common/invariant.hpp"
@@ -20,32 +19,12 @@ const MiddleboxProfile* Engine::find_middlebox(MiddleboxId id) const noexcept {
   return nullptr;
 }
 
-MiddleboxBitmap Engine::chain_bitmap(ChainId chain) const {
-  auto it = chain_bitmaps_.find(chain);
-  if (it == chain_bitmaps_.end()) {
+const Engine::Chain& Engine::chain_at(ChainId chain) const {
+  auto it = chains_.find(chain);
+  if (it == chains_.end()) {
     throw std::invalid_argument("Engine: unknown policy chain");
   }
   return it->second;
-}
-
-bool Engine::chain_stateful(ChainId chain) const {
-  auto it = chain_stateful_.find(chain);
-  if (it == chain_stateful_.end()) {
-    throw std::invalid_argument("Engine: unknown policy chain");
-  }
-  return it->second;
-}
-
-bool Engine::chain_read_only(ChainId chain) const {
-  auto it = chain_members_.find(chain);
-  if (it == chain_members_.end()) {
-    throw std::invalid_argument("Engine: unknown policy chain");
-  }
-  for (MiddleboxId id : it->second) {
-    const MiddleboxProfile* p = find_middlebox(id);
-    if (p == nullptr || !p->read_only) return false;
-  }
-  return !it->second.empty();
 }
 
 std::uint32_t Engine::num_automaton_states() const noexcept {
@@ -246,46 +225,36 @@ std::shared_ptr<const Engine> Engine::compile(const EngineSpec& spec,
   }
 
   // --- policy chains (§5.2) ------------------------------------------------
-  for (const auto& [chain, members] : spec.chains) {
-    MiddleboxBitmap bitmap = 0;
-    StopSpec stop;
-    bool any_stateful = false;
-    for (MiddleboxId id : members) {
-      if (!(seen & bitmap_of(id))) {
+  for (const auto& [id, members] : spec.chains) {
+    Chain chain;
+    chain.members = members;
+    chain.read_only = !members.empty();
+    for (MiddleboxId member : members) {
+      if (!(seen & bitmap_of(member))) {
         throw std::invalid_argument("Engine: chain references unknown middlebox");
       }
-      bitmap |= bitmap_of(id);
-      const MiddleboxProfile* p = engine->find_middlebox(id);
+      chain.active |= bitmap_of(member);
+      const MiddleboxProfile* p = engine->find_middlebox(member);
       // Stateless and stateful depths are tracked separately: the former
       // renew per packet, the latter are consumed by the flow offset, and
-      // the scan clamp needs both maxima (scan_impl).
+      // the scan clamp needs both maxima (prepare_scan).
       if (p->stateful) {
-        stop.stateful = std::max(stop.stateful, p->stop_offset);
+        chain.stop_stateful = std::max(chain.stop_stateful, p->stop_offset);
       } else {
-        stop.stateless = std::max(stop.stateless, p->stop_offset);
+        chain.stop_stateless = std::max(chain.stop_stateless, p->stop_offset);
       }
-      any_stateful |= p->stateful;
+      chain.stateful = chain.stateful || p->stateful;
+      chain.read_only = chain.read_only && p->read_only;
     }
-    engine->chain_members_[chain] = members;
-    engine->chain_bitmaps_[chain] = bitmap;
-    engine->chain_stop_[chain] = stop;
-    engine->chain_stateful_[chain] = any_stateful;
+    engine->chains_[id] = std::move(chain);
   }
 
-  // --- batched scan kernel -------------------------------------------------
-  // Built only over the full-table automaton (the compressed automaton's
-  // bitmap rows already trade speed for memory). kAuto defers to the
-  // process-wide policy (DPISVC_FORCE_SCALAR + cpu features); an explicit
-  // kBatched config overrides the environment.
+  // --- hot scan kernel -----------------------------------------------------
+  // Built over the full-table automaton only: the compressed automaton (the
+  // MCA² dedicated-instance engine) keeps its small footprint and walks with
+  // its own scalar loop.
   if (const auto* full = std::get_if<ac::FullAutomaton>(&engine->automaton_)) {
-    const bool want_kernel =
-        config.kernel == ScanKernel::kBatched ||
-        (config.kernel == ScanKernel::kAuto &&
-         !ac::kernel_policy().force_scalar);
-    if (want_kernel) {
-      engine->kernel_ = ac::HotKernel::build(*full);
-      engine->use_kernel_ = engine->kernel_.available();
-    }
+    engine->kernel_ = ac::HotKernel::build(*full);
   }
 
   return engine;
@@ -302,11 +271,10 @@ MiddleboxMatches& Engine::section_for(ScanResult& result,
 }
 
 Engine::Prepared Engine::prepare_scan(ac::StateIndex start_state,
-                                      const StopSpec& stop, bool any_stateful,
-                                      BytesView payload,
+                                      const Chain& chain, BytesView payload,
                                       const FlowCursor& cursor) const {
   Prepared prep;
-  prep.resume = any_stateful && cursor.valid;
+  prep.resume = chain.stateful && cursor.valid;
   prep.offset = prep.resume ? cursor.offset : 0;
   prep.state = prep.resume ? cursor.dfa_state : start_state;
 
@@ -321,11 +289,14 @@ Engine::Prepared Engine::prepare_scan(ac::StateIndex start_state,
   // resumed packets short of the stateless members' per-packet depth,
   // silently dropping their in-depth matches.
   std::uint64_t limit = payload.size();
-  if (stop.stateless != kNoStopCondition && stop.stateful != kNoStopCondition) {
+  if (chain.stop_stateless != kNoStopCondition &&
+      chain.stop_stateful != kNoStopCondition) {
     const std::uint64_t stateful_remaining =
-        stop.stateful > prep.offset ? stop.stateful - prep.offset : 0;
+        chain.stop_stateful > prep.offset ? chain.stop_stateful - prep.offset
+                                          : 0;
     limit = std::min<std::uint64_t>(
-        limit, std::max<std::uint64_t>(stop.stateless, stateful_remaining));
+        limit,
+        std::max<std::uint64_t>(chain.stop_stateless, stateful_remaining));
   }
   prep.scanned = payload.first(static_cast<std::size_t>(limit));
   return prep;
@@ -356,13 +327,16 @@ struct RawScratch {
   }
 };
 
+/// The cursor of a packet scanned without flow state.
+const FlowCursor kNewFlow{};
+
 }  // namespace
 
-void Engine::finish_scan(MiddleboxBitmap active, bool any_stateful,
-                         const Prepared& prep, const FlowCursor& cursor,
-                         ac::StateIndex final_state,
+void Engine::finish_scan(const Chain& chain, const Prepared& prep,
+                         const FlowCursor& cursor, ac::StateIndex final_state,
                          const std::vector<ac::Match>& events,
                          ScanResult& result) const {
+  const MiddleboxBitmap active = chain.active;
   const BytesView scanned = prep.scanned;
   const std::uint64_t offset = prep.offset;
 
@@ -378,9 +352,9 @@ void Engine::finish_scan(MiddleboxBitmap active, bool any_stateful,
   }
   MiddleboxBitmap mboxes_with_matches = 0;
 
-  // §5.1 filtering of the walk's accepting-state events. The walk (scalar
-  // loop or batched kernel) only reports (end offset, accepting state)
-  // pairs; everything per-middlebox happens here, identically for both.
+  // §5.1 filtering of the walk's accepting-state events. The walk (hot
+  // kernel and scalar loop) only reports (end offset, accepting state)
+  // pairs; everything per-middlebox happens here.
   result.raw_hits = events.size();
   for (const ac::Match& m : events) {
     DPISVC_ASSERT_INVARIANT(m.accept_state < accept_targets_.size(),
@@ -417,7 +391,7 @@ void Engine::finish_scan(MiddleboxBitmap active, bool any_stateful,
   }
 
   result.bytes_scanned = scanned.size();
-  if (any_stateful) {
+  if (chain.stateful) {
     result.cursor.dfa_state = final_state;
     result.cursor.offset = offset + scanned.size();
     result.cursor.valid = true;
@@ -432,8 +406,7 @@ void Engine::finish_scan(MiddleboxBitmap active, bool any_stateful,
   // on the active set owns regexes, so regex-free stateful chains pay
   // nothing here. Merge this packet's anchor bits into the flow's set and
   // keep the previous payload tail for cross-packet evaluation.
-  const bool carry =
-      any_stateful && (active & stateful_regex_owners_) != 0;
+  const bool carry = chain.stateful && (active & stateful_regex_owners_) != 0;
   BytesView window;
   if (carry) {
     if (prep.resume) {
@@ -498,98 +471,60 @@ void Engine::finish_scan(MiddleboxBitmap active, bool any_stateful,
 }
 
 template <typename Automaton>
-ScanResult Engine::scan_impl(const Automaton& automaton, bool use_kernel,
-                             MiddleboxBitmap active, const StopSpec& stop,
-                             bool any_stateful, BytesView payload,
-                             const FlowCursor& cursor) const {
-  const Prepared prep = prepare_scan(automaton.start_state(), stop,
-                                     any_stateful, payload, cursor);
-  static thread_local std::vector<ac::Match> event_scratch;
-  event_scratch.clear();
-  ac::StateIndex state = prep.state;
-
-  bool walked = false;
-  if constexpr (std::is_same_v<Automaton, ac::FullAutomaton>) {
-    if (use_kernel) {
-      const ac::HotKernel::Lane lane =
-          kernel_.scan(prep.scanned, state, event_scratch);
-      if (lane.consumed < prep.scanned.size()) {
-        // Cold exit (or a resume state outside the hot core): finish the
-        // packet with the scalar loop from where the kernel stopped,
-        // shifting event offsets back to the scanned view.
-        const std::size_t done = lane.consumed;
-        state = automaton.scan(
-            prep.scanned.subspan(done), lane.state, [&](ac::Match m) {
-              event_scratch.push_back(
-                  ac::Match{m.end_offset + done, m.accept_state});
-            });
-      } else {
-        state = lane.state;
-      }
-      walked = true;
-    }
-  } else {
-    (void)use_kernel;
-  }
-  if (!walked) {
-    state = automaton.scan(prep.scanned, state, [&](ac::Match m) {
-      event_scratch.push_back(m);
-    });
-  }
-
-  ScanResult result;
-  finish_scan(active, any_stateful, prep, cursor, state, event_scratch,
-              result);
-  return result;
-}
-
-void Engine::scan_batch_interleaved(const ac::FullAutomaton& automaton,
-                                    MiddleboxBitmap active,
-                                    const StopSpec& stop, bool any_stateful,
-                                    const std::vector<BytesView>& payloads,
-                                    std::vector<FlowCursor>* cursors,
-                                    std::vector<ScanResult>& out) const {
+void Engine::scan_group(const Automaton& automaton, const Chain& chain,
+                        const BytesView* payloads, const FlowCursor* cursors,
+                        std::size_t n, ScanResult* results) const {
   constexpr std::size_t kMaxLanes = ac::HotKernel::kMaxInterleave;
-  const std::size_t width =
-      std::min<std::size_t>(ac::kernel_policy().interleave, kMaxLanes);
-  static thread_local std::array<std::vector<ac::Match>, kMaxLanes>
-      lane_events;
-  std::array<Prepared, kMaxLanes> preps;
-  std::array<ac::HotKernel::Lane, kMaxLanes> lanes;
-  const FlowCursor no_cursor;
+  DPISVC_ASSERT_INVARIANT(n >= 1 && n <= kMaxLanes,
+                          "a scan group holds 1..kMaxInterleave packets");
+  // Per-thread lane state: zeroing eight lanes on the stack for every call
+  // costs a lone 40-200 B packet about a tenth of its scan time.
+  struct Lanes {
+    std::array<Prepared, kMaxLanes> preps;
+    std::array<ac::HotKernel::Lane, kMaxLanes> lanes;
+    std::array<std::vector<ac::Match>, kMaxLanes> events;
+  };
+  static thread_local Lanes scratch;
+  auto& [preps, lanes, events] = scratch;
+  const auto cursor_of = [&](std::size_t j) -> const FlowCursor& {
+    return cursors != nullptr ? cursors[j] : kNewFlow;
+  };
 
-  for (std::size_t base = 0; base < payloads.size(); base += width) {
-    const std::size_t group = std::min(width, payloads.size() - base);
-    for (std::size_t j = 0; j < group; ++j) {
-      const FlowCursor& cursor =
-          cursors != nullptr ? (*cursors)[base + j] : no_cursor;
-      preps[j] = prepare_scan(automaton.start_state(), stop, any_stateful,
-                              payloads[base + j], cursor);
-      lane_events[j].clear();
-      lanes[j] = ac::HotKernel::Lane{preps[j].scanned, preps[j].state, 0,
-                                     &lane_events[j]};
+  // 1. Prepare: stop clamp and resume state of each packet.
+  for (std::size_t j = 0; j < n; ++j) {
+    preps[j] = prepare_scan(automaton.start_state(), chain, payloads[j],
+                            cursor_of(j));
+    events[j].clear();
+    lanes[j] = ac::HotKernel::Lane{preps[j].scanned, preps[j].state, 0,
+                                   &events[j]};
+  }
+
+  // 2. The hot kernel walks each lane until it ends or leaves the core. A
+  // lone packet takes the single-lane walk, which is faster per byte than a
+  // one-lane lockstep pass. Without a kernel every lane stays at byte 0.
+  if (kernel_.available()) {
+    if (n == 1) {
+      lanes[0] = kernel_.scan(lanes[0].data, lanes[0].state, events[0]);
+    } else {
+      kernel_.scan_interleaved(lanes.data(), n);
     }
-    kernel_.scan_interleaved(lanes.data(), group);
-    for (std::size_t j = 0; j < group; ++j) {
-      ac::StateIndex state;
-      if (lanes[j].consumed < preps[j].scanned.size()) {
-        const std::size_t done = lanes[j].consumed;
-        state = automaton.scan(
-            preps[j].scanned.subspan(done), lanes[j].state, [&](ac::Match m) {
-              lane_events[j].push_back(
-                  ac::Match{m.end_offset + done, m.accept_state});
-            });
-      } else {
-        state = lanes[j].state;
-      }
-      const FlowCursor& cursor =
-          cursors != nullptr ? (*cursors)[base + j] : no_cursor;
-      ScanResult result;
-      finish_scan(active, any_stateful, preps[j], cursor, state,
-                  lane_events[j], result);
-      if (cursors != nullptr) (*cursors)[base + j] = result.cursor;
-      out.push_back(std::move(result));
+  }
+
+  for (std::size_t j = 0; j < n; ++j) {
+    // 3. The automaton's scalar loop finishes the lane from where the
+    // kernel stopped, shifting event offsets back to the scanned slice.
+    const std::size_t done = lanes[j].consumed;
+    ac::StateIndex state = lanes[j].state;
+    if (done < preps[j].scanned.size()) {
+      std::vector<ac::Match>& lane_events = events[j];
+      state = automaton.scan(
+          preps[j].scanned.subspan(done), state, [&](ac::Match m) {
+            lane_events.push_back(
+                ac::Match{m.end_offset + done, m.accept_state});
+          });
     }
+    // 4. Filter, update the cursor, run regexes, emit sections.
+    finish_scan(chain, preps[j], cursor_of(j), state, events[j], results[j]);
   }
 }
 
@@ -666,97 +601,42 @@ void Engine::evaluate_regexes(MiddleboxBitmap active,
 
 ScanResult Engine::scan_packet(ChainId chain, BytesView payload,
                                const FlowCursor& cursor) const {
-  return scan_packet_as(ScanKernel::kAuto, chain, payload, cursor);
-}
-
-ScanResult Engine::scan_packet_as(ScanKernel mode, ChainId chain,
-                                  BytesView payload,
-                                  const FlowCursor& cursor) const {
-  auto members = chain_bitmaps_.find(chain);
-  if (members == chain_bitmaps_.end()) {
-    throw std::invalid_argument("Engine::scan_packet: unknown policy chain");
-  }
-  const MiddleboxBitmap active = members->second;
-  const StopSpec stop = chain_stop_.at(chain);
-  const bool any_stateful = chain_stateful_.at(chain);
-  const bool use_kernel = resolve_kernel(mode);
-  return std::visit(
+  const Chain& resolved = chain_at(chain);
+  ScanResult result;
+  std::visit(
       [&](const auto& automaton) {
-        return scan_impl(automaton, use_kernel, active, stop, any_stateful,
-                         payload, cursor);
+        scan_group(automaton, resolved, &payload, &cursor, 1, &result);
       },
       automaton_);
+  return result;
 }
 
 std::vector<ScanResult> Engine::scan_batch(ChainId chain,
                                            const std::vector<BytesView>& payloads,
                                            std::vector<FlowCursor>* cursors) const {
-  return scan_batch_as(ScanKernel::kAuto, chain, payloads, cursors);
-}
-
-std::vector<ScanResult> Engine::scan_batch_as(
-    ScanKernel mode, ChainId chain, const std::vector<BytesView>& payloads,
-    std::vector<FlowCursor>* cursors) const {
-  auto members = chain_bitmaps_.find(chain);
-  if (members == chain_bitmaps_.end()) {
-    throw std::invalid_argument("Engine::scan_batch: unknown policy chain");
-  }
+  const Chain& resolved = chain_at(chain);
   if (cursors != nullptr && cursors->size() != payloads.size()) {
     throw std::invalid_argument(
         "Engine::scan_batch: cursors must match payloads one-to-one");
   }
-  const MiddleboxBitmap active = members->second;
-  const StopSpec stop = chain_stop_.at(chain);
-  const bool any_stateful = chain_stateful_.at(chain);
-  const bool use_kernel = resolve_kernel(mode);
-  std::vector<ScanResult> out;
-  out.reserve(payloads.size());
-  // One variant visit for the whole batch; the per-packet loop then runs
-  // with the automaton type resolved. With the kernel active the batch runs
-  // interleaved: several packets' hot-table walks advance in lockstep so
-  // their transition loads overlap (results stay byte-identical to the
-  // sequential order — each lane ends exactly as a lone scan would).
+  const std::size_t width = std::min<std::size_t>(
+      ac::kernel_policy().interleave, ac::HotKernel::kMaxInterleave);
+  std::vector<ScanResult> out(payloads.size());
+  // One variant visit for the whole batch.
   std::visit(
       [&](const auto& automaton) {
-        using A = std::decay_t<decltype(automaton)>;
-        if constexpr (std::is_same_v<A, ac::FullAutomaton>) {
-          if (use_kernel) {
-            scan_batch_interleaved(automaton, active, stop, any_stateful,
-                                   payloads, cursors, out);
-            return;
-          }
-        }
-        for (std::size_t i = 0; i < payloads.size(); ++i) {
-          const FlowCursor cursor = cursors ? (*cursors)[i] : FlowCursor{};
-          out.push_back(scan_impl(automaton, use_kernel, active, stop,
-                                  any_stateful, payloads[i], cursor));
-          if (cursors) (*cursors)[i] = out.back().cursor;
+        for (std::size_t base = 0; base < payloads.size(); base += width) {
+          scan_group(automaton, resolved, payloads.data() + base,
+                     cursors != nullptr ? cursors->data() + base : nullptr,
+                     std::min(width, payloads.size() - base),
+                     out.data() + base);
         }
       },
       automaton_);
-  return out;
-}
-
-ScanResult Engine::scan_packet_for(MiddleboxBitmap active, BytesView payload,
-                                   const FlowCursor& cursor) const {
-  StopSpec stop;
-  bool any_stateful = false;
-  for (const auto& p : profiles_) {
-    if (bitmap_of(p.id) & active) {
-      if (p.stateful) {
-        stop.stateful = std::max(stop.stateful, p.stop_offset);
-      } else {
-        stop.stateless = std::max(stop.stateless, p.stop_offset);
-      }
-      any_stateful |= p.stateful;
-    }
+  if (cursors != nullptr) {
+    for (std::size_t i = 0; i < out.size(); ++i) (*cursors)[i] = out[i].cursor;
   }
-  return std::visit(
-      [&](const auto& automaton) {
-        return scan_impl(automaton, use_kernel_, active, stop, any_stateful,
-                         payload, cursor);
-      },
-      automaton_);
+  return out;
 }
 
 }  // namespace dpisvc::dpi

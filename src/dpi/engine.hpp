@@ -68,29 +68,12 @@ struct EngineSpec {
   std::map<ChainId, std::vector<MiddleboxId>> chains;
 };
 
-/// Scan-kernel dispatch choice, resolved once at compile() (the scan hot
-/// path never re-checks the environment).
-enum class ScanKernel : std::uint8_t {
-  /// Batched kernel when the engine runs the full-table automaton, the hot
-  /// layout built, and DPISVC_FORCE_SCALAR is not set (ac::kernel_policy()).
-  kAuto = 0,
-  /// Always the scalar per-byte loop (the pre-kernel behavior, and the
-  /// oracle side of the kernel cross-check).
-  kScalar = 1,
-  /// Batched kernel even under DPISVC_FORCE_SCALAR (used by the verifier
-  /// so the cross-check still drives both paths); silently scalar when the
-  /// kernel cannot be built (compressed automaton).
-  kBatched = 2,
-};
-
 struct EngineConfig {
   /// Use the failure-link automaton instead of the full table (the MCA²
   /// dedicated-instance configuration, §4.3.1).
+  /// The automaton also decides the walk: compile() builds the hot kernel
+  /// (ac/hot_kernel.hpp) for the full table and none for the compressed one.
   bool use_compressed_automaton = false;
-  /// Scan-kernel dispatch (see ScanKernel). The batched kernel is proven
-  /// byte-identical to the scalar loop by src/verify and dpisvc_check
-  /// --kernel-xcheck.
-  ScanKernel kernel = ScanKernel::kAuto;
   /// Anchors shorter than this are not extracted from regexes (§5.3).
   std::size_t anchor_min_length = 4;
   /// §5.1's accepting-state bitmap optimization: one AND against the active
@@ -190,6 +173,23 @@ class Engine {
     std::uint32_t anchor_bit = 0;  ///< index into the per-scan anchor hit set
   };
 
+  /// One policy chain (§5.2), resolved once at compile() from its members'
+  /// profiles. Public so the static verifier can check `active` against
+  /// `members`.
+  struct Chain {
+    std::vector<MiddleboxId> members;
+    MiddleboxBitmap active = 0;  ///< bitmap of `members`
+    /// Scan-depth bounds, split by statefulness because the two kinds
+    /// consume depth differently (see MiddleboxProfile::stop_offset):
+    /// stateless depths are packet-relative and renew every packet, stateful
+    /// depths are flow-relative and shrink as the flow offset advances. The
+    /// scan clamp must feed every byte either kind could still report.
+    std::uint32_t stop_stateless = 0;  ///< max stop over stateless members
+    std::uint32_t stop_stateful = 0;   ///< max stop over stateful members
+    bool stateful = false;   ///< some member is stateful
+    bool read_only = false;  ///< non-empty and every member read-only
+  };
+
   /// Compiles a spec. Throws std::invalid_argument on inconsistent input
   /// (unknown middlebox referenced, ids out of range, empty patterns,
   /// malformed regexes).
@@ -207,35 +207,18 @@ class Engine {
 
   /// Batched ingest (§6 scaling): scans a vector of independent packets of
   /// one chain with a single chain resolution and automaton dispatch,
-  /// instead of one map lookup + variant visit per packet. When `cursors`
-  /// is non-null it must have one entry per payload; each entry supplies
-  /// that packet's resume state and receives the updated cursor. Packets of
-  /// the same flow must not appear twice in one batch with caller-managed
+  /// instead of one map lookup + variant visit per packet, and lets the hot
+  /// kernel walk kernel_policy().interleave packets in lockstep. Results are
+  /// byte-identical to scanning the packets one by one. When `cursors` is
+  /// non-null it must have one entry per payload; each entry supplies that
+  /// packet's resume state and receives the updated cursor. Packets of the
+  /// same flow must not appear twice in one batch with caller-managed
   /// cursors (each would resume from the same stored state) — the sharded
   /// instance path feeds per-flow sequential batches instead.
   std::vector<ScanResult> scan_batch(ChainId chain,
                                      const std::vector<BytesView>& payloads,
                                      std::vector<FlowCursor>* cursors =
                                          nullptr) const;
-
-  /// Scan against an explicit set of active middleboxes instead of a chain.
-  ScanResult scan_packet_for(MiddleboxBitmap active, BytesView payload,
-                             const FlowCursor& cursor = {}) const;
-
-  /// scan_packet with an explicit kernel-dispatch override. The kernel
-  /// cross-check (src/verify, dpisvc_check --kernel-xcheck) drives both the
-  /// scalar oracle and the batched kernel over one compiled engine with
-  /// this; production callers use scan_packet(), which applies the choice
-  /// resolved at compile().
-  ScanResult scan_packet_as(ScanKernel mode, ChainId chain, BytesView payload,
-                            const FlowCursor& cursor = {}) const;
-
-  /// scan_batch with an explicit kernel-dispatch override (kBatched takes
-  /// the flow-interleaved lane path, kScalar the per-packet scalar loop).
-  std::vector<ScanResult> scan_batch_as(ScanKernel mode, ChainId chain,
-                                        const std::vector<BytesView>& payloads,
-                                        std::vector<FlowCursor>* cursors =
-                                            nullptr) const;
 
   // --- introspection -------------------------------------------------------
 
@@ -245,21 +228,25 @@ class Engine {
   const MiddleboxProfile* find_middlebox(MiddleboxId id) const noexcept;
 
   bool chain_known(ChainId chain) const noexcept {
-    return chain_members_.count(chain) != 0;
+    return chains_.count(chain) != 0;
   }
-  MiddleboxBitmap chain_bitmap(ChainId chain) const;
+  MiddleboxBitmap chain_bitmap(ChainId chain) const {
+    return chain_at(chain).active;
+  }
 
   /// True if any middlebox on the chain registered as stateful (the scan
   /// must then carry flow state across packets).
-  bool chain_stateful(ChainId chain) const;
+  bool chain_stateful(ChainId chain) const { return chain_at(chain).stateful; }
 
   /// True if every middlebox on the chain is read-only (§4.2: the packet
   /// itself need not be routed; results alone suffice).
-  bool chain_read_only(ChainId chain) const;
+  bool chain_read_only(ChainId chain) const {
+    return chain_at(chain).read_only;
+  }
 
-  /// True when scan_packet()/scan_batch() run the batched kernel (full-table
-  /// automaton, hot layout built, dispatch resolved in its favor).
-  bool kernel_active() const noexcept { return use_kernel_; }
+  /// True when scans run the hot kernel: compile() builds one for the
+  /// full-table automaton and none for the compressed one.
+  bool kernel_active() const noexcept { return kernel_.available(); }
   /// The compiled hot-core layout, or nullptr when none was built. The
   /// static verifier proves it transition-for-transition equal to the full
   /// table. NOT counted in memory_bytes() (which is the Table 2 "Space"
@@ -297,9 +284,8 @@ class Engine {
   const std::vector<MatchTarget>& accept_targets(ac::StateIndex accept) const {
     return accept_targets_[accept];
   }
-  const std::map<ChainId, std::vector<MiddleboxId>>& chain_table()
-      const noexcept {
-    return chain_members_;
+  const std::map<ChainId, Chain>& chain_table() const noexcept {
+    return chains_;
   }
 
   /// Raw automaton traversal with no match collection; the throughput
@@ -320,44 +306,32 @@ class Engine {
     std::vector<std::uint32_t> anchor_bits;
   };
 
-  /// Per-chain scan-depth bounds, split by statefulness because the two
-  /// kinds consume depth differently (see MiddleboxProfile::stop_offset):
-  /// stateless depths are packet-relative and renew every packet, stateful
-  /// depths are flow-relative and shrink as the flow offset advances. The
-  /// scan clamp must feed every byte either kind could still report.
-  struct StopSpec {
-    std::uint32_t stateless = 0;  ///< max stop over stateless members
-    std::uint32_t stateful = 0;   ///< max stop over stateful members
-  };
-
   /// The scanned slice and resume point of one packet, computed before the
-  /// automaton walk (shared by the scalar, kernel, and interleaved paths).
+  /// automaton walk.
   struct Prepared {
     BytesView scanned;
     std::uint64_t offset = 0;
     ac::StateIndex state = 0;
     bool resume = false;
   };
-  Prepared prepare_scan(ac::StateIndex start_state, const StopSpec& stop,
-                        bool any_stateful, BytesView payload,
-                        const FlowCursor& cursor) const;
+  Prepared prepare_scan(ac::StateIndex start_state, const Chain& chain,
+                        BytesView payload, const FlowCursor& cursor) const;
 
+  /// The one scan walk: scan_packet() is a group of one and scan_batch() a
+  /// sequence of groups. Scans payloads[0..n) of `chain`, n <=
+  /// ac::kernel_policy().interleave, in four steps: prepare each packet; let
+  /// the hot kernel walk what it can (one lane alone, lanes in lockstep
+  /// otherwise, nothing when compile() built no kernel); finish each packet
+  /// with the automaton's scalar loop from where the kernel stopped; then
+  /// finish_scan into results[j]. `cursors` is null when the packets carry
+  /// no flow state.
   template <typename Automaton>
-  ScanResult scan_impl(const Automaton& automaton, bool use_kernel,
-                       MiddleboxBitmap active, const StopSpec& stop,
-                       bool any_stateful, BytesView payload,
-                       const FlowCursor& cursor) const;
+  void scan_group(const Automaton& automaton, const Chain& chain,
+                  const BytesView* payloads, const FlowCursor* cursors,
+                  std::size_t n, ScanResult* results) const;
 
-  /// Flow-interleaved batch walk over the full-table automaton: packets are
-  /// grouped into kernel lanes (ac::kernel_policy().interleave wide) so
-  /// their transition loads overlap, then finished per packet in submission
-  /// order — results are byte-identical to the sequential path.
-  void scan_batch_interleaved(const ac::FullAutomaton& automaton,
-                              MiddleboxBitmap active, const StopSpec& stop,
-                              bool any_stateful,
-                              const std::vector<BytesView>& payloads,
-                              std::vector<FlowCursor>* cursors,
-                              std::vector<ScanResult>& out) const;
+  /// Throws std::invalid_argument for a chain compile() did not see.
+  const Chain& chain_at(ChainId chain) const;
 
   /// Per-scan middlebox -> result-section index: section lookups stay O(1)
   /// however many matches a packet reports (the linear section_for scan was
@@ -367,10 +341,10 @@ class Engine {
   /// Everything after the automaton walk: §5.1 match-event filtering
   /// against the active set, cursor/anchor-state update, §5.3 regex
   /// evaluation, and section emission. Pure function of the walk's match
-  /// events and final state, so the scalar loop and the batched kernel
-  /// share it verbatim — the cross-check only has to prove the walks equal.
-  void finish_scan(MiddleboxBitmap active, bool any_stateful,
-                   const Prepared& prep, const FlowCursor& cursor,
+  /// events and final state, so every walk shares it verbatim — the kernel
+  /// cross-check only has to prove the walks equal.
+  void finish_scan(const Chain& chain, const Prepared& prep,
+                   const FlowCursor& cursor,
                    ac::StateIndex final_state,
                    const std::vector<ac::Match>& events,
                    ScanResult& result) const;
@@ -391,35 +365,16 @@ class Engine {
   static MiddleboxMatches& section_for(ScanResult& result,
                                        SectionIndex& sections, MiddleboxId id);
 
-  /// Resolves an explicit dispatch override against what was compiled.
-  bool resolve_kernel(ScanKernel mode) const noexcept {
-    switch (mode) {
-      case ScanKernel::kScalar:
-        return false;
-      case ScanKernel::kBatched:
-        return kernel_.available();
-      case ScanKernel::kAuto:
-      default:
-        return use_kernel_;
-    }
-  }
-
   std::vector<MiddleboxProfile> profiles_;
   /// Profile fields denormalized by middlebox id for the per-match hot path.
   std::array<bool, kMaxMiddleboxes + 1> mbox_stateful_{};
   std::array<std::uint32_t, kMaxMiddleboxes + 1> mbox_stop_{};
-  std::map<ChainId, std::vector<MiddleboxId>> chain_members_;
-  std::map<ChainId, MiddleboxBitmap> chain_bitmaps_;
-  std::map<ChainId, StopSpec> chain_stop_;
-  std::map<ChainId, bool> chain_stateful_;
+  std::map<ChainId, Chain> chains_;
 
   std::variant<ac::FullAutomaton, ac::CompressedAutomaton> automaton_;
-  /// Cache-conscious hot-core layout over the full-table automaton (empty
-  /// when compressed, or when compile() resolved dispatch to scalar).
+  /// Cache-conscious hot-core layout over the full-table automaton; empty
+  /// (unavailable) for the compressed automaton.
   ac::HotKernel kernel_;
-  /// Compile-time-resolved dispatch: scan_packet()/scan_batch() use the
-  /// kernel. The scalar loop stays reachable via scan_packet_as().
-  bool use_kernel_ = false;
   /// Per accepting state: interested-middlebox bitmap (anchor targets
   /// contribute their owning middlebox too).
   std::vector<MiddleboxBitmap> accept_bitmaps_;

@@ -54,14 +54,10 @@ json::Value DpiController::handle_message(const json::Value& request) {
     if (type == "telemetry_report") {
       const TelemetryReport report = decode_telemetry_report(request);
       telemetry_reports_[report.instance] = report;
-      InstanceTelemetry t;
-      t.packets = report.packets;
-      t.bytes = report.bytes;
-      t.raw_hits = report.raw_hits;
-      t.match_packets = report.match_packets;
-      t.flow_evictions = report.flow_evictions;
-      t.busy_seconds = report.busy_seconds;
-      monitor_.report(report.instance, t);
+      InstanceTelemetry totals;
+      totals.bytes = report.bytes;
+      totals.raw_hits = report.raw_hits;
+      report_stress_locked(report.instance, totals);
       // A pushed report is proof of life for the failure detector.
       heartbeat_locked(report.instance);
       return ok_response();
@@ -348,6 +344,7 @@ bool DpiController::remove_instance(const std::string& name) {
   const MutexLock lock(mu_);
   if (instances_.erase(name) == 0) return false;
   monitor_.forget(name);
+  stress_totals_.erase(name);
   last_heartbeat_.erase(name);
   failed_.erase(name);
   for (auto it = assignments_.begin(); it != assignments_.end();) {
@@ -623,7 +620,7 @@ void DpiController::collect_telemetry() {
   ++epoch_;
   for (auto& [name, inst] : instances_) {
     if (failed_.count(name)) continue;  // no fresh telemetry from the dead
-    monitor_.report(name, inst->telemetry());
+    report_stress_locked(name, inst->telemetry());
     const auto beat = last_heartbeat_.find(name);
     const std::uint64_t last = beat == last_heartbeat_.end() ? 0 : beat->second;
     if (epoch_ - last >= failover_config_.miss_windows) {
@@ -632,6 +629,21 @@ void DpiController::collect_telemetry() {
           epoch_ - last, " windows without heartbeat)");
     }
   }
+}
+
+void DpiController::report_stress_locked(const std::string& name,
+                                        const InstanceTelemetry& totals) {
+  InstanceTelemetry& last = stress_totals_[name];
+  InstanceTelemetry window;  // the two counters the monitor reads
+  if (totals.bytes < last.bytes || totals.raw_hits < last.raw_hits) {
+    window.bytes = totals.bytes;
+    window.raw_hits = totals.raw_hits;
+  } else {
+    window.bytes = totals.bytes - last.bytes;
+    window.raw_hits = totals.raw_hits - last.raw_hits;
+  }
+  last = totals;
+  monitor_.report(name, window);
 }
 
 MitigationPlan DpiController::evaluate_mitigation() {

@@ -202,10 +202,10 @@ class DpiController {
 
   // --- MCA² (§4.3.1) ---------------------------------------------------------------
 
-  /// Snapshots every live instance's telemetry into the stress monitor
-  /// (one monitoring window). Also closes a failure-detection epoch: any
-  /// instance that has not heartbeated for FailoverConfig::miss_windows
-  /// consecutive windows is declared failed.
+  /// Feeds every live instance's telemetry since the previous call to the
+  /// stress monitor (one monitoring window). Also closes a failure-detection
+  /// epoch: any instance that has not heartbeated for
+  /// FailoverConfig::miss_windows consecutive windows is declared failed.
   void collect_telemetry();
 
   /// Aggregated telemetry as the TELEMETRY_QUERY response body:
@@ -318,6 +318,13 @@ class DpiController {
   json::Value telemetry_json_locked(const std::string& filter) const
       DPISVC_REQUIRES(mu_);
   void heartbeat_locked(const std::string& name) DPISVC_REQUIRES(mu_);
+  /// Instances report running totals; the stress monitor averages windows.
+  /// Feeds it the difference from the instance's previous totals. A total
+  /// below the previous one (an instance re-created under the same name)
+  /// counts from zero.
+  void report_stress_locked(const std::string& name,
+                            const InstanceTelemetry& totals)
+      DPISVC_REQUIRES(mu_);
   /// Validates then applies one add_patterns request. On rejection returns
   /// false with `rejection` set to the typed error response and the matching
   /// admission.rejected.* counter bumped; on success the PatternDb holds
@@ -381,6 +388,10 @@ class DpiController {
   /// Latest telemetry_report per instance name, as pushed over the JSON
   /// channel.
   std::map<std::string, TelemetryReport> telemetry_reports_
+      DPISVC_GUARDED_BY(mu_);
+
+  /// Last totals fed to the stress monitor, per instance name.
+  std::map<std::string, InstanceTelemetry> stress_totals_
       DPISVC_GUARDED_BY(mu_);
 
   std::uint64_t epoch_ DPISVC_GUARDED_BY(mu_) = 0;

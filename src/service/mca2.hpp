@@ -39,8 +39,9 @@ class StressMonitor {
  public:
   explicit StressMonitor(StressConfig config = {});
 
-  /// Feeds one telemetry window for an instance. Callers typically snapshot
-  /// InstanceTelemetry, report it, and reset the instance counters.
+  /// Feeds one telemetry window for an instance: the bytes and hits since
+  /// its previous window, not running totals. DpiController differences
+  /// the instances' cumulative telemetry into windows.
   void report(const std::string& instance, const InstanceTelemetry& window);
 
   /// True if the instance's smoothed hit density crosses the threshold.

@@ -96,8 +96,8 @@ struct TelemetryReport {
   std::uint64_t conflicting_overlap_bytes = 0;
   std::uint64_t stream_evictions = 0;
   double busy_seconds = 0;
-  /// Scan latency percentiles in nanoseconds; all zero when the instance
-  /// runs with metrics disabled.
+  /// Scan latency percentiles in nanoseconds; all zero until the instance
+  /// has scanned a packet.
   double scan_p50_ns = 0;
   double scan_p90_ns = 0;
   double scan_p99_ns = 0;

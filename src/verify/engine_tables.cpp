@@ -19,9 +19,9 @@ EngineTables extract_tables(const dpi::Engine& engine) {
   for (const auto& profile : engine.middleboxes()) {
     tables.middleboxes.push_back(profile.id);
   }
-  tables.chains = engine.chain_table();
-  for (const auto& [chain, members] : tables.chains) {
-    tables.chain_bitmaps[chain] = engine.chain_bitmap(chain);
+  for (const auto& [id, chain] : engine.chain_table()) {
+    tables.chains[id] = chain.members;
+    tables.chain_bitmaps[id] = chain.active;
   }
   return tables;
 }

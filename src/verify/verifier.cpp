@@ -541,30 +541,36 @@ std::string diff_scan_results(const dpi::ScanResult& scalar,
 }  // namespace
 
 std::vector<Diagnostic> cross_check_kernel(
-    const dpi::Engine& engine, dpi::ChainId chain,
-    const std::vector<std::vector<Bytes>>& flows) {
+    const dpi::Engine& engine, const dpi::Engine& reference,
+    dpi::ChainId chain, const std::vector<std::vector<Bytes>>& flows) {
   std::vector<Diagnostic> out;
   Reporter r(out);
   if (!engine.kernel_active()) {
     r.report("kernel-not-active",
-             "engine has no active batched kernel to cross-check");
-    return out;
+             "engine has no hot kernel to cross-check");
   }
-  // Scalar is the oracle: it is the loop the whole verify suite already
-  // proves correct against the definition-based automaton oracle.
+  if (!reference.uses_compressed_automaton()) {
+    r.report("reference-not-compressed",
+             "reference engine runs the full table, not the compressed "
+             "automaton");
+  }
+  if (!out.empty()) return out;
+  // The compressed automaton's scalar loop is the oracle: verify_dfa proves
+  // it against the definition-based automaton oracle, and it shares the
+  // full table's state numbering, so even the cursors' DFA states match.
   std::size_t max_packets = 0;
 
-  // Packet-by-packet differential, cursors resumed independently per mode.
+  // Packet-by-packet differential, cursors resumed independently per engine.
   for (std::size_t fi = 0; fi < flows.size(); ++fi) {
     dpi::FlowCursor scalar_cursor;
     dpi::FlowCursor kernel_cursor;
     max_packets = std::max(max_packets, flows[fi].size());
     for (std::size_t pi = 0; pi < flows[fi].size(); ++pi) {
       const BytesView payload(flows[fi][pi]);
-      const dpi::ScanResult scalar = engine.scan_packet_as(
-          dpi::ScanKernel::kScalar, chain, payload, scalar_cursor);
-      const dpi::ScanResult batched = engine.scan_packet_as(
-          dpi::ScanKernel::kBatched, chain, payload, kernel_cursor);
+      const dpi::ScanResult scalar =
+          reference.scan_packet(chain, payload, scalar_cursor);
+      const dpi::ScanResult batched =
+          engine.scan_packet(chain, payload, kernel_cursor);
       const std::string diff = diff_scan_results(scalar, batched);
       if (!diff.empty()) {
         r.report("kernel-scan-divergence", "flow ", fi, " packet ", pi, ": ",
@@ -577,7 +583,7 @@ std::vector<Diagnostic> cross_check_kernel(
 
   // Interleaved batch differential: advance all flows in lockstep (round k
   // scans every flow's k-th packet in one batch) so distinct flows share an
-  // interleave group, and compare against fresh scalar runs.
+  // interleave group, and compare against fresh reference runs.
   std::vector<dpi::FlowCursor> scalar_cursors(flows.size());
   std::vector<dpi::FlowCursor> batch_cursors(flows.size());
   for (std::size_t round = 0; round < max_packets; ++round) {
@@ -591,12 +597,12 @@ std::vector<Diagnostic> cross_check_kernel(
       round_cursors.push_back(batch_cursors[fi]);
     }
     if (payloads.empty()) continue;
-    const std::vector<dpi::ScanResult> batched = engine.scan_batch_as(
-        dpi::ScanKernel::kBatched, chain, payloads, &round_cursors);
+    const std::vector<dpi::ScanResult> batched =
+        engine.scan_batch(chain, payloads, &round_cursors);
     for (std::size_t k = 0; k < members.size(); ++k) {
       const std::size_t fi = members[k];
-      const dpi::ScanResult scalar = engine.scan_packet_as(
-          dpi::ScanKernel::kScalar, chain, payloads[k], scalar_cursors[fi]);
+      const dpi::ScanResult scalar =
+          reference.scan_packet(chain, payloads[k], scalar_cursors[fi]);
       const std::string diff = diff_scan_results(scalar, batched[k]);
       if (!diff.empty()) {
         r.report("kernel-batch-divergence", "flow ", fi, " round ", round,

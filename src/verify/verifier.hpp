@@ -88,20 +88,25 @@ std::vector<Diagnostic> check_equivalence(const DfaSnapshot& full,
 std::vector<Diagnostic> check_hot_kernel(const ac::FullAutomaton& full,
                                          const ac::HotKernel& kernel);
 
-/// Differential cross-check of the batched kernel against the scalar
-/// oracle. Every flow's packet sequence is scanned packet-by-packet twice
-/// (ScanKernel::kScalar vs kBatched, cursors resumed independently) and the
-/// flows are additionally advanced in lockstep through the interleaved
-/// batch path; every ScanResult is compared field by field — match
-/// sections, raw/anchor/regex counters, bytes scanned, and the resumed
-/// FlowCursor (DFA state, flow offset, anchor bits, regex window). The
-/// per-transition layout proof above makes table divergence impossible;
-/// this check covers the walk itself (stride boundaries, interleave
-/// scheduling, cold-exit continuation, event ordering). Codes:
-/// "kernel-not-active", "kernel-scan-divergence", "kernel-batch-divergence".
+/// Differential cross-check of the hot kernel's walk. `engine` runs the
+/// kernel (a full-table engine); `reference` is the same spec compiled with
+/// use_compressed_automaton = true. The compressed automaton numbers its
+/// states like the full table (check_equivalence) and never has a kernel,
+/// so its scalar loop is the oracle. Every flow's packet sequence is scanned
+/// packet-by-packet through both engines (cursors resumed independently),
+/// and the flows are additionally advanced in lockstep through the
+/// engine's scan_batch; every ScanResult is compared field by field —
+/// match sections, raw/anchor/regex counters, bytes scanned, and the
+/// resumed FlowCursor (DFA state, flow offset, anchor bits, regex window).
+/// The per-transition layout proof above makes table divergence
+/// impossible; this check covers the walk itself (stride boundaries,
+/// interleave scheduling, cold-exit continuation, event ordering). Codes:
+/// "kernel-not-active", "reference-not-compressed" (a spec with no strings
+/// compiles a full-table placeholder even when compressed is asked for),
+/// "kernel-scan-divergence", "kernel-batch-divergence".
 std::vector<Diagnostic> cross_check_kernel(
-    const dpi::Engine& engine, dpi::ChainId chain,
-    const std::vector<std::vector<Bytes>>& flows);
+    const dpi::Engine& engine, const dpi::Engine& reference,
+    dpi::ChainId chain, const std::vector<std::vector<Bytes>>& flows);
 
 // --- engine / service checks -------------------------------------------------
 // EngineTables and extract_tables live in verify/engine_tables.hpp (shared

@@ -1,21 +1,26 @@
-// Batched scan kernel vs. the scalar oracle.
+// Hot scan kernel vs. the scalar oracle.
 //
 // The kernel (ac/hot_kernel.hpp) must be invisible in results: every walk —
 // single-lane, interleaved, resumed mid-stride, clamped by a stop offset,
 // continued scalar after a cold exit — ends exactly where the scalar loop
-// would have. The tests here check that four ways:
+// would have. At engine level the oracle is the same spec compiled with the
+// compressed automaton, which numbers its states like the full table and
+// never runs a kernel. The tests here check that five ways:
 //   1. raw-walk differential: HotKernel::scan / scan_interleaved against
 //      FullAutomaton::scan, including a deliberately truncated (incomplete)
 //      core whose cold exits force the scalar continuation;
 //   2. engine differential over adversarial reassembly streams: the
 //      policy-normalized bytes of evasion traces (overlap conflicts,
 //      retransmit storms, shuffles, sequence wraparound) scanned packet-by-
-//      packet with carried cursors under kScalar and kBatched;
+//      packet with carried cursors through the kernel engine and its
+//      compressed reference;
 //   3. boundary pins: stateful resume at non-stride offsets, stop-offset
 //      clamps at the boundary byte, interleaved batch == sequential scans;
 //   4. the verify layer: check_hot_kernel proves the layout, and
 //      cross_check_kernel comes back clean on a live engine (and reports
-//      kernel-not-active on a scalar-pinned one).
+//      kernel-not-active on a compressed one);
+//   5. the engine's cold-exit continuation, on a rule set too large for the
+//      hot core.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +34,7 @@
 #include "dpi/engine.hpp"
 #include "verify/verifier.hpp"
 #include "workload/adversarial_gen.hpp"
+#include "workload/pattern_gen.hpp"
 
 namespace dpisvc {
 namespace {
@@ -218,7 +224,8 @@ TEST(HotKernelTest, InterleavedLanesEqualSingleLaneScans) {
 
 // --- engine differential -----------------------------------------------------
 
-std::shared_ptr<const dpi::Engine> kernel_engine(bool with_stop = false) {
+std::shared_ptr<const dpi::Engine> kernel_engine(bool with_stop = false,
+                                                 bool compressed = false) {
   dpi::EngineSpec spec;
   dpi::MiddleboxProfile ids;
   ids.id = 1;
@@ -242,13 +249,18 @@ std::shared_ptr<const dpi::Engine> kernel_engine(bool with_stop = false) {
   spec.chains[1] = {1, 2};
   spec.chains[2] = {2};
   dpi::EngineConfig config;
-  config.kernel = dpi::ScanKernel::kBatched;  // explicit: active even under
-                                              // DPISVC_FORCE_SCALAR
+  config.use_compressed_automaton = compressed;
   return dpi::Engine::compile(spec, config);
+}
+
+/// The same spec on the compressed automaton: the scalar reference.
+std::shared_ptr<const dpi::Engine> reference_engine(bool with_stop = false) {
+  return kernel_engine(with_stop, /*compressed=*/true);
 }
 
 TEST(ScanKernelEngineTest, StatefulResumeAtNonStrideOffsets) {
   const auto engine = kernel_engine();
+  const auto reference = reference_engine();
   ASSERT_TRUE(engine->kernel_active());
 
   // "secret-attack" split so every packet ends mid-stride (lengths 3, 5, 7,
@@ -263,10 +275,8 @@ TEST(ScanKernelEngineTest, StatefulResumeAtNonStrideOffsets) {
       const std::size_t len = std::min(chunk, stream.size() - base);
       const BytesView packet(
           reinterpret_cast<const std::uint8_t*>(stream.data()) + base, len);
-      const auto ref = engine->scan_packet_as(dpi::ScanKernel::kScalar, 1,
-                                              packet, scalar_cursor);
-      const auto got = engine->scan_packet_as(dpi::ScanKernel::kBatched, 1,
-                                              packet, kernel_cursor);
+      const auto ref = reference->scan_packet(1, packet, scalar_cursor);
+      const auto got = engine->scan_packet(1, packet, kernel_cursor);
       expect_same_result(ref, got,
                          "chunk=" + std::to_string(chunk) +
                              " base=" + std::to_string(base));
@@ -287,6 +297,7 @@ TEST(ScanKernelEngineTest, StatefulResumeAtNonStrideOffsets) {
 
 TEST(ScanKernelEngineTest, StopOffsetBoundariesIdenticalAcrossKernels) {
   const auto engine = kernel_engine(/*with_stop=*/true);
+  const auto reference = reference_engine(/*with_stop=*/true);
   ASSERT_TRUE(engine->kernel_active());
 
   // "babba" (middlebox 2, stop 13) ending exactly at the boundary byte vs
@@ -298,10 +309,8 @@ TEST(ScanKernelEngineTest, StopOffsetBoundariesIdenticalAcrossKernels) {
     payload += std::string(70, 'x');  // past both stops
     const BytesView bytes(
         reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
-    const auto ref =
-        engine->scan_packet_as(dpi::ScanKernel::kScalar, 1, bytes);
-    const auto got =
-        engine->scan_packet_as(dpi::ScanKernel::kBatched, 1, bytes);
+    const auto ref = reference->scan_packet(1, bytes);
+    const auto got = engine->scan_packet(1, bytes);
     expect_same_result(ref, got, "end=" + std::to_string(end));
     bool reported = false;
     for (const MatchKey& key : match_set(got)) {
@@ -315,6 +324,7 @@ TEST(ScanKernelEngineTest, StopOffsetBoundariesIdenticalAcrossKernels) {
 
 TEST(ScanKernelEngineTest, AdversarialStreamsScanIdentically) {
   const auto engine = kernel_engine();
+  const auto reference = reference_engine();
   ASSERT_TRUE(engine->kernel_active());
 
   const net::FiveTuple flow{net::Ipv4Addr(10, 0, 0, 1),
@@ -329,7 +339,7 @@ TEST(ScanKernelEngineTest, AdversarialStreamsScanIdentically) {
 
   // Evasion transforms produce policy-normalized streams (decoy bytes,
   // truncated releases, duplicated content); each stream is chunked and
-  // scanned packet-by-packet under both kernels with carried cursors.
+  // scanned packet-by-packet through both engines with carried cursors.
   std::vector<workload::EvasionSpec> specs(4);
   specs[0].segment_bytes = 8;
   specs[1].seed = 2;
@@ -353,10 +363,8 @@ TEST(ScanKernelEngineTest, AdversarialStreamsScanIdentically) {
         for (std::size_t base = 0; base < view.bytes.size(); base += chunk) {
           const std::size_t len = std::min(chunk, view.bytes.size() - base);
           const BytesView packet(view.bytes.data() + base, len);
-          const auto ref = engine->scan_packet_as(dpi::ScanKernel::kScalar, 1,
-                                                  packet, scalar_cursor);
-          const auto got = engine->scan_packet_as(dpi::ScanKernel::kBatched, 1,
-                                                  packet, kernel_cursor);
+          const auto ref = reference->scan_packet(1, packet, scalar_cursor);
+          const auto got = engine->scan_packet(1, packet, kernel_cursor);
           expect_same_result(ref, got,
                              "spec=" + std::to_string(si) +
                                  " chunk=" + std::to_string(chunk) +
@@ -371,6 +379,7 @@ TEST(ScanKernelEngineTest, AdversarialStreamsScanIdentically) {
 
 TEST(ScanKernelEngineTest, InterleavedBatchEqualsSequentialScans) {
   const auto engine = kernel_engine();
+  const auto reference = reference_engine();
   ASSERT_TRUE(engine->kernel_active());
 
   // 29 packets (three full interleave groups of 8 + a partial group of 5)
@@ -382,12 +391,10 @@ TEST(ScanKernelEngineTest, InterleavedBatchEqualsSequentialScans) {
   std::vector<BytesView> payloads;
   for (const Bytes& b : storage) payloads.emplace_back(b);
 
-  const auto batch =
-      engine->scan_batch_as(dpi::ScanKernel::kBatched, 2, payloads, nullptr);
+  const auto batch = engine->scan_batch(2, payloads, nullptr);
   ASSERT_EQ(batch.size(), payloads.size());
   for (std::size_t i = 0; i < payloads.size(); ++i) {
-    const auto ref =
-        engine->scan_packet_as(dpi::ScanKernel::kScalar, 2, payloads[i]);
+    const auto ref = reference->scan_packet(2, payloads[i]);
     expect_same_result(ref, batch[i], "packet " + std::to_string(i));
   }
 }
@@ -412,7 +419,8 @@ TEST(ScanKernelVerifyTest, LayoutProofAndCrossCheckComeBackClean) {
     }
     flows.push_back(std::move(packets));
   }
-  const auto diffs = verify::cross_check_kernel(*engine, 1, flows);
+  const auto diffs =
+      verify::cross_check_kernel(*engine, *reference_engine(), 1, flows);
   EXPECT_TRUE(diffs.empty()) << (diffs.empty() ? "" : diffs[0].code + ": " +
                                                           diffs[0].message);
 }
@@ -426,11 +434,11 @@ TEST(ScanKernelVerifyTest, CrossCheckReportsScalarPinnedEngine) {
   spec.exact_patterns = {dpi::ExactPatternSpec{"ab", 1, 0}};
   spec.chains[1] = {1};
   dpi::EngineConfig config;
-  config.kernel = dpi::ScanKernel::kScalar;
+  config.use_compressed_automaton = true;
   const auto engine = dpi::Engine::compile(spec, config);
   EXPECT_FALSE(engine->kernel_active());
 
-  const auto diffs = verify::cross_check_kernel(*engine, 1, {});
+  const auto diffs = verify::cross_check_kernel(*engine, *engine, 1, {});
   ASSERT_EQ(diffs.size(), 1u);
   EXPECT_EQ(diffs[0].code, "kernel-not-active");
 }
@@ -446,6 +454,86 @@ TEST(ScanKernelVerifyTest, LayoutProofFlagsTruncatedCoreAsIncomplete) {
   // completeness.
   const auto layout = verify::check_hot_kernel(full, kernel);
   EXPECT_TRUE(layout.empty()) << (layout.empty() ? "" : layout[0].code);
+}
+
+// --- cold-exit continuation --------------------------------------------------
+
+/// 5,500 ClamAV-like signatures compile to ~74k states, more than the hot
+/// core's 16-bit ids can hold, so the core stops at a depth bound and walks
+/// that go deeper finish on the full table's scalar loop.
+TEST(ScanKernelColdExitTest, ContinuationMatchesCompressedReference) {
+  const auto patterns =
+      workload::generate_patterns(workload::clamav_like(5500, 23));
+  dpi::EngineSpec spec;
+  dpi::MiddleboxProfile ids;
+  ids.id = 1;
+  ids.name = "ids";
+  dpi::MiddleboxProfile av;
+  av.id = 2;
+  av.name = "av";
+  av.stateful = true;
+  spec.middleboxes = {ids, av};
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    spec.exact_patterns.push_back(
+        dpi::ExactPatternSpec{patterns[i], static_cast<dpi::MiddleboxId>(1 + i % 2),
+                              static_cast<dpi::PatternId>(i)});
+  }
+  spec.chains[1] = {1, 2};  // stateful: deep states carry across packets
+  spec.chains[2] = {1};     // stateless: every packet starts at the root
+  dpi::EngineConfig compressed;
+  compressed.use_compressed_automaton = true;
+  const auto engine = dpi::Engine::compile(spec);
+  const auto reference = dpi::Engine::compile(spec, compressed);
+  ASSERT_NE(engine->hot_kernel(), nullptr);
+  // The test exists for the continuation: a generator change that let the
+  // core hold every state would leave it nothing to check.
+  ASSERT_FALSE(engine->hot_kernel()->complete());
+
+  // Eight flows of the set's patterns behind one filler byte, cut into
+  // packets of 1..23 bytes (a cycle, phase-shifted per flow): patterns
+  // straddle packet boundaries at every offset, and those longer than the
+  // core's depth bound leave it mid-packet and end on the continuation.
+  std::vector<std::vector<Bytes>> flows(8);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    Bytes stream;
+    for (std::size_t i = f; i < 48 * flows.size(); i += flows.size()) {
+      stream.push_back('=');
+      stream.insert(stream.end(), patterns[i].begin(), patterns[i].end());
+    }
+    std::size_t len = 1 + f;
+    for (std::size_t pos = 0; pos < stream.size(); pos += len) {
+      len = std::min<std::size_t>(len % 23 + 1, stream.size() - pos);
+      flows[f].emplace_back(stream.begin() + static_cast<std::ptrdiff_t>(pos),
+                            stream.begin() +
+                                static_cast<std::ptrdiff_t>(pos + len));
+    }
+  }
+
+  for (const dpi::ChainId chain : {dpi::ChainId{1}, dpi::ChainId{2}}) {
+    std::size_t matches = 0;
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      dpi::FlowCursor ref_cursor;
+      dpi::FlowCursor kernel_cursor;
+      for (std::size_t p = 0; p < flows[f].size(); ++p) {
+        const BytesView packet(flows[f][p]);
+        const auto ref = reference->scan_packet(chain, packet, ref_cursor);
+        const auto got = engine->scan_packet(chain, packet, kernel_cursor);
+        expect_same_result(ref, got,
+                           "chain=" + std::to_string(chain) +
+                               " flow=" + std::to_string(f) +
+                               " packet=" + std::to_string(p));
+        ref_cursor = ref.cursor;
+        kernel_cursor = got.cursor;
+        matches += match_set(got).size();
+      }
+    }
+    EXPECT_GT(matches, 0u) << "chain=" << chain;
+    // The lockstep batch path: cold exits inside interleave groups.
+    const auto diffs =
+        verify::cross_check_kernel(*engine, *reference, chain, flows);
+    EXPECT_TRUE(diffs.empty()) << (diffs.empty() ? "" : diffs[0].code + ": " +
+                                                            diffs[0].message);
+  }
 }
 
 }  // namespace

@@ -263,6 +263,48 @@ TEST_F(Mca2Test, FlowMigrationBetweenInstances) {
   EXPECT_FALSE(controller_->migrate_flow(flow(3), "ghost", "dedicated"));
 }
 
+TEST_F(Mca2Test, StressClearsOnceBenignWindowsFollowTheAttack) {
+  std::string attack;
+  for (int i = 0; i < 20; ++i) attack += "attacksig";
+  pump_traffic(*regular_, attack, 50);
+  controller_->heartbeat("regular");
+  controller_->collect_telemetry();
+  EXPECT_TRUE(controller_->stress_monitor().is_stressed("regular"));
+
+  // The instance's counters keep running; each collection must see only
+  // the traffic since the previous one. Two benign windows fill the
+  // two-window history, so the attack no longer counts.
+  for (int window = 0; window < 2; ++window) {
+    pump_traffic(*regular_, "plenty of ordinary web content with no "
+                            "signatures whatsoever, just text flowing....",
+                 50);
+    controller_->heartbeat("regular");
+    controller_->collect_telemetry();
+  }
+  EXPECT_FALSE(controller_->stress_monitor().is_stressed("regular"));
+  EXPECT_DOUBLE_EQ(controller_->stress_monitor().smoothed_signal("regular"),
+                   0.0);
+}
+
+TEST_F(Mca2Test, PushedTotalsAreDifferencedIntoWindows) {
+  auto push = [this](std::uint64_t bytes, std::uint64_t raw_hits) {
+    TelemetryReport report;
+    report.instance = "remote";
+    report.bytes = bytes;
+    report.raw_hits = raw_hits;
+    ASSERT_TRUE(response_ok(controller_->handle_message(encode(report))));
+  };
+  push(100000, 10000);
+  push(200000, 10000);  // windows: 100,000 B / 10,000 hits, then 100,000 / 0
+  EXPECT_DOUBLE_EQ(controller_->stress_monitor().smoothed_signal("remote"),
+                   0.05);
+  // Totals below the previous ones: the instance restarted under the same
+  // name, so its new totals are a window from zero.
+  push(4000, 4000);  // windows: 100,000 / 0, then 4,000 / 4,000
+  EXPECT_DOUBLE_EQ(controller_->stress_monitor().smoothed_signal("remote"),
+                   4000.0 / 104000.0);
+}
+
 TEST(StressMonitor, SmoothingAndThresholds) {
   StressConfig config;
   config.hits_per_byte_threshold = 0.1;

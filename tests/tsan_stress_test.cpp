@@ -261,6 +261,11 @@ TEST(TsanStress, ShardedPoolScanVsSwapVsMigration) {
     }
   });
 
+  // Let the scanners finish a first pass, so the swaps below race running
+  // scans: on a loaded host the 15 rounds could otherwise end before any
+  // scanner thread was scheduled.
+  while (packets.load() == 0) std::this_thread::yield();
+
   // Control plane (this thread): hot engine swaps and bulk flow migration
   // race the scanners above.
   for (int round = 0; round < 15; ++round) {

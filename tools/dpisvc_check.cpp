@@ -37,9 +37,9 @@ struct Options {
   std::size_t max_patterns = 2000;
   bool builtin = false;
   bool json = false;  ///< machine-readable report on stdout (CI consumption)
-  /// Run the batched-kernel checks (layout proof + scalar-oracle
-  /// differential over adversarial traces) instead of the structural
-  /// invariants.
+  /// Run the hot-kernel checks (layout proof + differential against the
+  /// compressed automaton over adversarial traces) instead of the
+  /// structural invariants.
   bool kernel_xcheck = false;
 };
 
@@ -199,15 +199,18 @@ std::vector<std::vector<Bytes>> kernel_xcheck_flows(
   return flows;
 }
 
-/// Kernel verification of one suite: compiles the engine with the batched
-/// kernel forced on (so the check also runs under DPISVC_FORCE_SCALAR CI
-/// jobs), proves the hot-core layout against the full table, then runs the
-/// scalar-oracle differential over the adversarial flows on both builtin
-/// chains (1 = stateless+stateful mix, 2 = stateful only).
+/// Kernel verification of one suite: compiles the spec twice, as the
+/// full-table engine that runs the hot kernel and as its compressed
+/// reference, proves the hot-core layout against the full table, then runs
+/// the reference differential over the adversarial flows on both builtin
+/// chains (1 = stateless+stateful mix, 2 = stateful only). With
+/// `needs_cold_exits` the suite also fails when the hot core holds the whole
+/// automaton, since it exists to cover the scalar continuation after a cold
+/// exit.
 SuiteResult run_kernel_suite(const std::string& name,
                              const std::vector<std::string>& patterns,
                              const std::vector<std::string>& regexes,
-                             bool quiet) {
+                             bool quiet, bool needs_cold_exits = false) {
   Stopwatch watch;
   const dpi::EngineSpec spec = tools::make_spec(patterns, regexes);
   std::vector<verify::Diagnostic> diagnostics;
@@ -215,25 +218,30 @@ SuiteResult run_kernel_suite(const std::string& name,
     diagnostics.insert(diagnostics.end(), more.begin(), more.end());
   };
   std::shared_ptr<const dpi::Engine> engine;
-  dpi::EngineConfig config;
-  config.kernel = dpi::ScanKernel::kBatched;
+  std::shared_ptr<const dpi::Engine> reference;
+  dpi::EngineConfig compressed;
+  compressed.use_compressed_automaton = true;
   try {
-    engine = dpi::Engine::compile(spec, config);
+    engine = dpi::Engine::compile(spec);
+    reference = dpi::Engine::compile(spec, compressed);
   } catch (const std::exception& e) {
     diagnostics.push_back(verify::Diagnostic{"compile-error", e.what()});
   }
-  if (engine != nullptr) {
-    const auto* full =
-        std::get_if<ac::FullAutomaton>(&engine->automaton());
-    if (full == nullptr || engine->hot_kernel() == nullptr) {
-      diagnostics.push_back(verify::Diagnostic{
-          "kernel-unavailable", "engine built no batched kernel"});
-    } else {
-      append(verify::check_hot_kernel(*full, *engine->hot_kernel()));
-      const auto flows = kernel_xcheck_flows(patterns);
-      append(verify::cross_check_kernel(*engine, 1, flows));
-      append(verify::cross_check_kernel(*engine, 2, flows));
+  if (engine != nullptr && reference != nullptr) {
+    const auto* full = std::get_if<ac::FullAutomaton>(&engine->automaton());
+    const ac::HotKernel* kernel = engine->hot_kernel();
+    if (full != nullptr && kernel != nullptr) {
+      append(verify::check_hot_kernel(*full, *kernel));
+      if (needs_cold_exits && kernel->complete()) {
+        diagnostics.push_back(verify::Diagnostic{
+            "kernel-core-complete",
+            "hot core holds all " + std::to_string(full->num_states()) +
+                " states, so no walk reaches the cold-exit continuation"});
+      }
     }
+    const auto flows = kernel_xcheck_flows(patterns);
+    append(verify::cross_check_kernel(*engine, *reference, 1, flows));
+    append(verify::cross_check_kernel(*engine, *reference, 2, flows));
   }
   const std::string suite_name = name + "/kernel";
   if (!quiet) {
@@ -261,6 +269,14 @@ void cmd_builtin(std::vector<SuiteResult>& results, bool kernel_xcheck,
           run_suite(suite.name, suite.patterns, suite.regexes, quiet));
     }
   }
+  if (kernel_xcheck) {
+    // Too many states for the hot core: walks that go deeper than its depth
+    // bound leave it and finish on the scalar continuation.
+    results.push_back(run_kernel_suite(
+        "builtin:clamav-cold",
+        workload::generate_patterns(workload::clamav_like(5500, 23)), {},
+        quiet, /*needs_cold_exits=*/true));
+  }
 }
 
 void usage() {
@@ -271,10 +287,12 @@ void usage() {
   --max-patterns N   cap the number of patterns read from FILE (default 2000)
   --builtin          verify generated snort-like/clamav-like sets and a
                      handcrafted suffix-heavy suite
-  --kernel-xcheck    instead of the structural invariants, prove the batched
+  --kernel-xcheck    instead of the structural invariants, prove the hot
                      scan kernel: hot-core layout vs the full table, and a
-                     scalar-oracle differential over adversarial evasion
-                     traces (match sets, counters, resumed cursors)
+                     differential against the compressed automaton over
+                     adversarial evasion traces (match sets, counters,
+                     resumed cursors); with --builtin, one more suite is too
+                     large for the hot core and must leave it
   --json             print one machine-readable JSON report on stdout instead
                      of per-suite lines (CI artifact; exit status unchanged)
 
