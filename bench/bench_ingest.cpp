@@ -11,8 +11,9 @@
 // path the pipeline replaces.
 //
 // NOTE on scaling expectations: the emitted JSON carries
-// `hardware_threads`, `effective_workers`, and `scaling_limited_by_cpus`
-// so consumers can tell a flat curve from a one-CPU container.
+// `hardware_threads` and `effective_workers`, but the threads a machine
+// reports are not the cores it delivers; perfbench measures those
+// (`service.cores_used`, `service.parallel_capacity`).
 //
 // Usage: bench_ingest [num_packets] [repeats]
 //   num_packets  trace size (default 300000; CI smoke passes e.g. 2000)
@@ -156,7 +157,6 @@ int main(int argc, char** argv) {
       std::min<std::size_t>(100000, std::max<std::size_t>(1, num_packets / 2));
   const std::size_t effective_workers =
       std::min<std::size_t>(4, std::max(1u, hw_threads));
-  const bool scaling_limited = hw_threads < 4;
 
   print_header("zero-copy batched ingest: pps vs ring capacity / batch size");
   std::printf(
@@ -180,7 +180,6 @@ int main(int argc, char** argv) {
       {"num_flows", static_cast<double>(num_flows)},
       {"hardware_threads", static_cast<double>(hw_threads)},
       {"effective_workers", static_cast<double>(effective_workers)},
-      {"scaling_limited_by_cpus", scaling_limited},
   });
 
   // Batched vs the current per-packet path, both chain kinds, same workers.
@@ -225,13 +224,6 @@ int main(int argc, char** argv) {
     }
   }
   out["series"] = json::Value(std::move(series));
-
-  if (scaling_limited) {
-    std::printf(
-        "note: only %u hardware thread(s) available — batched-vs-per-packet\n"
-        "gaps here measure batching overheads, not parallel speedup.\n",
-        hw_threads);
-  }
 
   std::ofstream("BENCH_ingest.json") << json::dump(json::Value(out)) << "\n";
   std::printf("wrote BENCH_ingest.json\n");

@@ -58,7 +58,7 @@ BENCHMARK(BM_EngineScan);
 
 void BM_CompressedScan(benchmark::State& state) {
   dpi::EngineConfig config;
-  config.use_compressed_automaton = true;
+  config.hot_kernel = false;
   auto engine = engine_for(snort_patterns(), config);
   std::uint64_t bytes = 0;
   for (auto _ : state) {

@@ -20,11 +20,9 @@
 
 namespace dpisvc::bench {
 
-/// Builds a single-middlebox engine over `patterns` (middlebox id 1,
-/// chain 1), the configuration a standalone middlebox's DPI component uses.
-inline std::shared_ptr<const dpi::Engine> engine_for(
-    const std::vector<std::string>& patterns,
-    const dpi::EngineConfig& config = {}) {
+/// A single-middlebox spec over `patterns` (middlebox id 1, chain 1), the
+/// configuration a standalone middlebox's DPI component uses.
+inline dpi::EngineSpec spec_for(const std::vector<std::string>& patterns) {
   dpi::EngineSpec spec;
   dpi::MiddleboxProfile profile;
   profile.id = 1;
@@ -35,15 +33,19 @@ inline std::shared_ptr<const dpi::Engine> engine_for(
     spec.exact_patterns.push_back(dpi::ExactPatternSpec{p, 1, id++});
   }
   spec.chains[1] = {1};
-  return dpi::Engine::compile(spec, config);
+  return spec;
 }
 
-/// Builds a combined two-middlebox engine (ids 1 and 2; chain 1 = both),
-/// the virtual-DPI configuration of §5.1.
-inline std::shared_ptr<const dpi::Engine> combined_engine_for(
-    const std::vector<std::string>& set1,
-    const std::vector<std::string>& set2,
+inline std::shared_ptr<const dpi::Engine> engine_for(
+    const std::vector<std::string>& patterns,
     const dpi::EngineConfig& config = {}) {
+  return dpi::Engine::compile(spec_for(patterns), config);
+}
+
+/// A combined two-middlebox spec (ids 1 and 2; chain 1 = both), the
+/// virtual-DPI configuration of §5.1.
+inline dpi::EngineSpec combined_spec_for(const std::vector<std::string>& set1,
+                                         const std::vector<std::string>& set2) {
   dpi::EngineSpec spec;
   dpi::MiddleboxProfile a;
   a.id = 1;
@@ -63,7 +65,21 @@ inline std::shared_ptr<const dpi::Engine> combined_engine_for(
   spec.chains[1] = {1, 2};
   spec.chains[2] = {1};
   spec.chains[3] = {2};
-  return dpi::Engine::compile(spec, config);
+  return spec;
+}
+
+inline std::shared_ptr<const dpi::Engine> combined_engine_for(
+    const std::vector<std::string>& set1,
+    const std::vector<std::string>& set2,
+    const dpi::EngineConfig& config = {}) {
+  return dpi::Engine::compile(combined_spec_for(set1, set2), config);
+}
+
+/// What an engine holds resident: automaton and tables plus the hot kernel.
+inline double resident_mb(const dpi::Engine& engine) {
+  return static_cast<double>(engine.memory_bytes() +
+                             engine.kernel_memory_bytes()) /
+         1e6;
 }
 
 /// Scans the trace repeatedly until `min_bytes` have been processed and

@@ -6,7 +6,7 @@
 // Phase 2: an attacker sends payloads stitched from signature fragments,
 //          driving the accepting-state hit density far above benign levels.
 // Phase 3: the DPI controller detects the stress, designates the dedicated
-//          instance (running the compressed, attack-resistant automaton),
+//          instance (the failure-link automaton without the hot kernel),
 //          migrates the heavy chain there via the TSA, and the regular
 //          instance recovers.
 #include <cstdio>
@@ -52,9 +52,10 @@ int main() {
   dedicated_config.dedicated = true;
   auto dedicated = controller.create_instance("dedicated-1", dedicated_config);
   controller.assign_chain(chain, "regular-1");
-  std::printf("regular engine:   full-table AC, %.1f MB\n",
-              regular->engine()->memory_bytes() / 1e6);
-  std::printf("dedicated engine: compressed AC, %.1f MB\n",
+  std::printf("regular engine:   failure-link AC + hot kernel, %.1f MB\n",
+              (regular->engine()->memory_bytes() +
+               regular->engine()->kernel_memory_bytes()) / 1e6);
+  std::printf("dedicated engine: failure-link AC alone, %.1f MB\n",
               dedicated->engine()->memory_bytes() / 1e6);
 
   netsim::Fabric fabric;

@@ -11,7 +11,7 @@
 //    dpi::Engine::compile of the same spec with the same EngineConfig
 //    succeeds, AND the predicted state/accepting/memory numbers equal the
 //    real engine's exactly (the calibration property, enforced on every
-//    fuzz-generated spec, in both automaton representations).
+//    fuzz-generated spec, for the regular and the dedicated engine).
 //
 // Counted repeats ('{') are excluded from the regex alphabet: the
 // compile-side blow-up they cause is covered by unit tests
@@ -78,6 +78,7 @@ std::string fingerprint(const analysis::PatternSetReport& report) {
   num(report.anchor_bits);
   num(report.predicted_memory_full);
   num(report.predicted_memory_compressed);
+  num(report.predicted_kernel_memory);
   num(report.total_regex_instructions);
   for (const auto& r : report.regexes) {
     num(r.cost.nfa_instructions);
@@ -112,7 +113,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // are part of the analyzed surface (capped == dfa blow-up verdict).
   options.dfa_state_cap = 128;
   options.max_program_size = 1u << 12;
-  options.engine.use_compressed_automaton = (in.u8() & 1) != 0;
+  options.engine.hot_kernel = (in.u8() & 1) == 0;
 
   dpi::PatternId next_rule = 0;
   for (int ops = 0; ops < 64 && !in.empty(); ++ops) {
@@ -191,11 +192,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (fingerprint(report) != fingerprint(again)) __builtin_trap();
 
   // Oracle 3: admissible => the compile succeeds and every prediction is
-  // exact, in the budgeted representation and the other one.
+  // exact, for the regular and the dedicated engine.
   if (report.admissible()) {
     for (const bool compressed : {false, true}) {
       dpi::EngineConfig config = options.engine;
-      config.use_compressed_automaton = compressed;
+      config.hot_kernel = !compressed;
       std::shared_ptr<const dpi::Engine> engine;
       try {
         engine = dpi::Engine::compile(spec, config);
@@ -207,10 +208,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
           engine->num_distinct_strings() != report.distinct_strings) {
         __builtin_trap();
       }
-      const std::size_t predicted_memory =
-          compressed ? report.predicted_memory_compressed
-                     : report.predicted_memory_full;
-      if (engine->memory_bytes() != predicted_memory) __builtin_trap();
+      if (engine->memory_bytes() != report.predicted_memory_compressed ||
+          engine->kernel_memory_bytes() !=
+              (compressed ? 0 : report.predicted_kernel_memory)) {
+        __builtin_trap();
+      }
     }
   }
   return 0;

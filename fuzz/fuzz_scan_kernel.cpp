@@ -1,13 +1,12 @@
 // Fuzz target: the hot scan kernel against its scalar oracle.
 //
 // One spec (exact patterns with stop offsets, stateful + stateless chains)
-// is compiled twice: on the full table, which runs the hot kernel, and on
-// the compressed automaton, which numbers its states the same way and
-// never runs a kernel — the scalar reference. The input bytes decode to a
-// chain selector and a packet sequence; every packet is scanned through
-// both engines with independently carried flow cursors, and the packet
-// list is also fed through scan_batch on both (the flow-interleaved lane
-// path on the kernel engine).
+// is compiled twice: with the hot kernel, and without it — the reference,
+// which walks the same failure-link automaton with step() alone. The input
+// bytes decode to a chain selector and a packet sequence; every packet is
+// scanned through both engines with independently carried flow cursors,
+// and the packet list is also fed through scan_batch on both (the
+// flow-interleaved lane path on the kernel engine).
 // Oracles:
 //  * no crash / sanitizer report on any packet sequence;
 //  * the kernel engine's results are byte-identical to the reference's:
@@ -27,7 +26,7 @@ namespace {
 
 using namespace dpisvc;
 
-std::shared_ptr<const dpi::Engine> build_engine(bool compressed) {
+std::shared_ptr<const dpi::Engine> build_engine(bool hot_kernel) {
   dpi::EngineSpec spec;
   auto mbox = [](dpi::MiddleboxId id, const char* name, bool stateful,
                  std::uint32_t stop) {
@@ -52,7 +51,7 @@ std::shared_ptr<const dpi::Engine> build_engine(bool compressed) {
   spec.chains[2] = {2};
   spec.chains[3] = {1};
   dpi::EngineConfig config;
-  config.use_compressed_automaton = compressed;
+  config.hot_kernel = hot_kernel;
   return dpi::Engine::compile(spec, config);
 }
 
@@ -77,9 +76,9 @@ bool same(const dpi::ScanResult& a, const dpi::ScanResult& b) {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  static const std::shared_ptr<const dpi::Engine> engine = build_engine(false);
+  static const std::shared_ptr<const dpi::Engine> engine = build_engine(true);
   static const std::shared_ptr<const dpi::Engine> reference =
-      build_engine(true);
+      build_engine(false);
   if (size < 2) return 0;
 
   const dpi::ChainId chain = static_cast<dpi::ChainId>(1 + data[0] % 3);

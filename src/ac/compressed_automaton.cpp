@@ -7,20 +7,8 @@ CompressedAutomaton CompressedAutomaton::build(Trie& trie) {
   const auto n = static_cast<std::uint32_t>(trie.num_states());
 
   // Same dense renumbering as FullAutomaton so accepting ids agree.
-  std::vector<StateIndex> new_id(n, kNoState);
-  std::uint32_t next_accepting = 0;
-  for (StateIndex s = 0; s < n; ++s) {
-    if (!trie.output(s).empty()) {
-      new_id[s] = next_accepting++;
-    }
-  }
-  const std::uint32_t f = next_accepting;
-  std::uint32_t next_plain = f;
-  for (StateIndex s = 0; s < n; ++s) {
-    if (new_id[s] == kNoState) {
-      new_id[s] = next_plain++;
-    }
-  }
+  std::uint32_t f = 0;
+  const std::vector<StateIndex> new_id = trie.accepting_first_ids(f);
 
   CompressedAutomaton out;
   out.num_states_ = n;
@@ -31,12 +19,7 @@ CompressedAutomaton CompressedAutomaton::build(Trie& trie) {
   out.match_table_.resize(f);
   out.depth_.assign(n, 0);
 
-  // Count edges, then fill ranges in renumbered order.
-  std::size_t total_edges = 0;
-  for (StateIndex s = 0; s < n; ++s) {
-    total_edges += trie.children(s).size();
-  }
-  out.edges_.reserve(total_edges);
+  out.edges_.reserve(n - 1);  // a trie of n states has n - 1 edges
 
   // Emit edges grouped by renumbered state id. Build an inverse map first.
   std::vector<StateIndex> old_of(n);

@@ -12,19 +12,23 @@
 // footprint stays cache-resident under adversarial traffic that is designed
 // to thrash a full table.
 //
+// It is also the one automaton every dpi::Engine holds. A regular engine
+// adds ac::HotKernel, a u16 cache of this automaton's near-root core built
+// straight from its goto edges and failure links; the scan walks the kernel
+// while the state is hot and step() while it is cold.
+//
 // State numbering matches FullAutomaton state for state: both renumber the
 // trie with the same pass (accepting states exactly {0..num_accepting-1},
 // then the rest in trie order), so match tables, bitmaps and the DFA state a
 // FlowCursor carries mean the same thing in the two representations built
 // from the same trie. verify::check_equivalence proves it transition by
-// transition; the kernel cross-check relies on it to use a compressed engine
-// as the scalar reference for a full-table one.
+// transition, and check_hot_kernel proves the kernel against the full table.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "ac/full_automaton.hpp"  // for Match
 #include "ac/trie.hpp"
 #include "common/bytes.hpp"
 
@@ -32,6 +36,12 @@ namespace dpisvc::ac {
 
 class CompressedAutomaton {
  public:
+  /// One goto edge.
+  struct Edge {
+    std::uint8_t byte = 0;
+    StateIndex target = 0;
+  };
+
   CompressedAutomaton() = default;
 
   static CompressedAutomaton build(Trie& trie);
@@ -59,6 +69,13 @@ class CompressedAutomaton {
   /// acyclic and depth-decreasing.
   StateIndex fail_link(StateIndex state) const { return fail_[state]; }
 
+  /// Goto edges of a state, sorted by byte.
+  std::span<const Edge> edges(StateIndex state) const {
+    const EdgeRange range = ranges_[state];
+    return std::span<const Edge>(edges_).subspan(range.begin,
+                                                 range.end - range.begin);
+  }
+
   template <typename OnMatch>
   StateIndex scan(BytesView data, StateIndex state, OnMatch&& on_match) const {
     std::uint64_t cnt = 0;
@@ -77,24 +94,12 @@ class CompressedAutomaton {
     return scan(data, start_, std::forward<OnMatch>(on_match));
   }
 
-  StateIndex traverse(BytesView data, StateIndex state) const noexcept {
-    for (std::uint8_t byte : data) {
-      state = step(state, byte);
-    }
-    return state;
-  }
-
   std::size_t memory_bytes() const noexcept;
 
  private:
   struct EdgeRange {
     std::uint32_t begin = 0;  // into edges_
     std::uint32_t end = 0;
-  };
-
-  struct Edge {
-    std::uint8_t byte = 0;
-    StateIndex target = 0;
   };
 
   std::uint32_t num_states_ = 0;

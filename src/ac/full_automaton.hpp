@@ -6,6 +6,11 @@
 // then the comparison `state < f` the paper calls out ("it is also possible
 // to check whether the state ID is less than a predefined constant"), and
 // the per-accepting-state match table is a direct-access array.
+//
+// This is the paper's representation, and dpi::Engine does not hold one: the
+// engine runs ac::CompressedAutomaton with ac::HotKernel caching its core.
+// FullAutomaton stays as the reference src/verify proves both against, and
+// as the size Table 2's "Space" column reports.
 #pragma once
 
 #include <cstdint>
@@ -16,15 +21,6 @@
 #include "common/bytes.hpp"
 
 namespace dpisvc::ac {
-
-/// One reported match during a scan.
-struct Match {
-  /// Byte offset one past the last byte of the matched pattern (i.e. the
-  /// number of bytes scanned when the match fired — the paper's `cnt`).
-  std::uint64_t end_offset = 0;
-  /// The accepting state that fired; key into matches_at() / user tables.
-  StateIndex accept_state = 0;
-};
 
 class FullAutomaton {
  public:
@@ -77,16 +73,6 @@ class FullAutomaton {
   template <typename OnMatch>
   StateIndex scan(BytesView data, OnMatch&& on_match) const {
     return scan(data, start_, std::forward<OnMatch>(on_match));
-  }
-
-  /// Scan that only advances the state machine; used by throughput benches
-  /// to measure the raw DFA traversal rate.
-  StateIndex traverse(BytesView data, StateIndex state) const noexcept {
-    const StateIndex* table = table_.data();
-    for (std::uint8_t byte : data) {
-      state = table[static_cast<std::size_t>(state) * 256u + byte];
-    }
-    return state;
   }
 
   /// Approximate resident size of the runtime structures, in bytes. This is

@@ -1,7 +1,7 @@
 #include "ac/hot_kernel.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <unordered_map>
 
 #include "common/invariant.hpp"
 
@@ -21,45 +21,22 @@ const KernelPolicy& kernel_policy() {
   return policy;
 }
 
-HotKernel HotKernel::build(const FullAutomaton& full,
+HotKernel HotKernel::build(const CompressedAutomaton& automaton,
                            std::uint32_t max_hot_states) {
   HotKernel k;
-  const std::uint32_t n = full.num_states();
+  const std::uint32_t n = automaton.num_states();
   if (n == 0 || max_hot_states == 0) return k;
-
-  // --- byte-equivalence classes (partition refinement) ---------------------
-  // Two bytes are equivalent iff delta(s, b1) == delta(s, b2) for every
-  // state s. Start with one class and split it row by row: within a row,
-  // bytes of one class that reach different targets can no longer share.
-  std::array<std::uint16_t, 256> cls{};
-  std::uint32_t num_classes = 1;
-  for (StateIndex s = 0; s < n && num_classes < 256; ++s) {
-    // (old class, row target) -> refined class, ids in first-seen byte order
-    // so the partition is deterministic.
-    std::unordered_map<std::uint64_t, std::uint16_t> remap;
-    remap.reserve(num_classes * 2);
-    std::array<std::uint16_t, 256> next{};
-    for (unsigned b = 0; b < 256; ++b) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(cls[b]) << 32) |
-          full.step(s, static_cast<std::uint8_t>(b));
-      auto [it, inserted] =
-          remap.emplace(key, static_cast<std::uint16_t>(remap.size()));
-      next[b] = it->second;
-    }
-    cls = next;
-    num_classes = static_cast<std::uint32_t>(remap.size());
-  }
 
   // --- hot-core selection ---------------------------------------------------
   // All states of depth <= D for the largest D whose cumulative state count
   // fits the u16 id space: the dense near-root core almost every input byte
-  // lands in. When everything fits (the common case) there are no cold
-  // transitions at all.
+  // lands in. When everything fits there are no cold transitions at all.
   std::uint32_t max_depth = 0;
-  for (StateIndex s = 0; s < n; ++s) max_depth = std::max(max_depth, full.depth(s));
+  for (StateIndex s = 0; s < n; ++s) {
+    max_depth = std::max(max_depth, automaton.depth(s));
+  }
   std::vector<std::uint32_t> per_depth(max_depth + 1, 0);
-  for (StateIndex s = 0; s < n; ++s) ++per_depth[full.depth(s)];
+  for (StateIndex s = 0; s < n; ++s) ++per_depth[automaton.depth(s)];
   std::uint32_t hot_depth = 0;
   std::uint64_t cumulative = per_depth[0];
   while (hot_depth < max_depth &&
@@ -70,68 +47,85 @@ HotKernel HotKernel::build(const FullAutomaton& full,
   if (cumulative > max_hot_states) return k;  // even the root layer overflows
 
   // Renumber the core accepting-first so acceptance stays `id < accepting`
-  // (§5.1): full-automaton accepting states are exactly {0..f-1}, so two
-  // ascending passes keep both orders aligned with the full numbering.
+  // (§5.1): automaton accepting states are exactly {0..f-1}, so two
+  // ascending passes keep both orders aligned with the automaton numbering.
   k.hot_of_.assign(n, kColdExit);
-  k.full_of_.reserve(cumulative);
-  const std::uint32_t f = full.num_accepting();
+  k.state_of_.reserve(cumulative);
+  const std::uint32_t f = automaton.num_accepting();
   for (StateIndex s = 0; s < n; ++s) {
-    if (s < f && full.depth(s) <= hot_depth) {
-      k.hot_of_[s] = static_cast<std::uint16_t>(k.full_of_.size());
-      k.full_of_.push_back(s);
+    if (s < f && automaton.depth(s) <= hot_depth) {
+      k.hot_of_[s] = static_cast<std::uint16_t>(k.state_of_.size());
+      k.state_of_.push_back(s);
     }
   }
-  k.hot_accepting_ = static_cast<std::uint32_t>(k.full_of_.size());
+  k.hot_accepting_ = static_cast<std::uint32_t>(k.state_of_.size());
   for (StateIndex s = 0; s < n; ++s) {
-    if (s >= f && full.depth(s) <= hot_depth) {
-      k.hot_of_[s] = static_cast<std::uint16_t>(k.full_of_.size());
-      k.full_of_.push_back(s);
+    if (s >= f && automaton.depth(s) <= hot_depth) {
+      k.hot_of_[s] = static_cast<std::uint16_t>(k.state_of_.size());
+      k.state_of_.push_back(s);
     }
   }
-  k.num_hot_ = static_cast<std::uint32_t>(k.full_of_.size());
-  k.num_classes_ = num_classes;
+  k.num_hot_ = static_cast<std::uint32_t>(k.state_of_.size());
   k.hot_depth_ = hot_depth;
   k.complete_ = k.num_hot_ == n;
-  k.class_of_ = cls;
 
-  // --- hot transition table -------------------------------------------------
-  // One representative byte per class suffices: the partition guarantees
-  // every byte of the class has the same target row-by-row.
-  std::vector<std::uint8_t> rep(num_classes, 0);
-  std::vector<bool> seen(num_classes, false);
-  for (unsigned b = 0; b < 256; ++b) {
-    if (!seen[cls[b]]) {
-      seen[cls[b]] = true;
-      rep[cls[b]] = static_cast<std::uint8_t>(b);
+  // --- byte classes ---------------------------------------------------------
+  // A byte that labels no edge out of a hot state leads every hot state to
+  // the root (the failure chain ends there with no edge either), so all
+  // such bytes share class 0; every other byte gets a class of its own.
+  std::array<bool, 256> labels{};
+  std::uint32_t num_labels = 0;
+  for (const StateIndex s : k.state_of_) {
+    for (const CompressedAutomaton::Edge& e : automaton.edges(s)) {
+      num_labels += labels[e.byte] ? 0 : 1;
+      labels[e.byte] = true;
     }
   }
+  std::uint32_t num_classes = num_labels == 256 ? 0 : 1;
+  for (unsigned b = 0; b < 256; ++b) {
+    if (labels[b]) k.class_of_[b] = static_cast<std::uint16_t>(num_classes++);
+  }
+  k.num_classes_ = num_classes;
+
+  // --- hot transition table -------------------------------------------------
   // Row stride = classes rounded up to a power of two: the walk then forms
   // the row index with a shift+or instead of a multiply, which shortens the
   // load-to-load dependency chain by the multiplier's latency. The padding
-  // columns are never indexed (byte classes are < num_classes) and cost at
-  // most 2x table bytes — still far inside L2 for realistic rule sets.
+  // columns are never indexed (byte classes are < num_classes).
   k.class_shift_ =
       num_classes > 1 ? static_cast<std::uint32_t>(std::bit_width(num_classes - 1))
                       : 0;
   k.table_.assign(static_cast<std::size_t>(k.num_hot_) << k.class_shift_,
                   kColdExit);
-  for (std::uint32_t h = 0; h < k.num_hot_; ++h) {
-    const StateIndex fs = k.full_of_[h];
-    for (std::uint32_t c = 0; c < num_classes; ++c) {
-      const StateIndex target = full.step(fs, rep[c]);
-      k.table_[(static_cast<std::size_t>(h) << k.class_shift_) | c] =
-          k.hot_of_[target];
+  // Rows in depth order, so a failure state's row (always shallower, so
+  // always hot) is complete before any row copies it: delta(s, b) is s's
+  // goto edge on b if it has one, else delta(fail(s), b). The root's
+  // failure chain ends at itself: bytes without an edge stay at the root.
+  const auto row_of = [&k](StateIndex s) {
+    return &k.table_[static_cast<std::size_t>(k.hot_of_[s]) << k.class_shift_];
+  };
+  const StateIndex start = automaton.start_state();
+  std::fill_n(row_of(start), num_classes, k.hot_of_[start]);
+  for (std::uint32_t d = 0; d <= hot_depth; ++d) {
+    for (const StateIndex s : k.state_of_) {
+      if (automaton.depth(s) != d) continue;
+      std::uint16_t* row = row_of(s);
+      if (d > 0) std::copy_n(row_of(automaton.fail_link(s)), num_classes, row);
+      for (const CompressedAutomaton::Edge& e : automaton.edges(s)) {
+        row[k.class_of_[e.byte]] = k.hot_of_[e.target];  // kColdExit if cold
+      }
     }
   }
-  DPISVC_ASSERT_INVARIANT(k.hot_of_[full.start_state()] != kColdExit,
+  DPISVC_ASSERT_INVARIANT(k.hot_of_[start] != kColdExit,
                           "hot core must contain the start state");
   return k;
 }
 
 std::size_t HotKernel::memory_bytes() const noexcept {
+  if (!available()) return 0;
   return table_.size() * sizeof(std::uint16_t) +
          hot_of_.size() * sizeof(std::uint16_t) +
-         full_of_.size() * sizeof(StateIndex) + sizeof(class_of_);
+         state_of_.size() * sizeof(StateIndex) + sizeof(class_of_);
 }
 
 HotKernel::Lane HotKernel::scan(BytesView data, StateIndex start_state,
@@ -144,7 +138,7 @@ HotKernel::Lane HotKernel::scan(BytesView data, StateIndex start_state,
 
   const std::uint16_t* tbl = table_.data();
   const std::uint16_t* bc = class_of_.data();
-  const StateIndex* full_of = full_of_.data();
+  const StateIndex* state_of = state_of_.data();
   const std::uint8_t* p = data.data();
   const std::size_t n = data.size();
   const std::uint32_t sh = class_shift_;
@@ -163,33 +157,33 @@ HotKernel::Lane HotKernel::scan(BytesView data, StateIndex start_state,
       const std::uint32_t c2 = bc[p[i + 2]];
       const std::uint32_t c3 = bc[p[i + 3]];
       s = tbl[(s << sh) | c0];
-      if (s < fa) events.push_back(Match{i + 1, full_of[s]});
+      if (s < fa) events.push_back(Match{i + 1, state_of[s]});
       s = tbl[(s << sh) | c1];
-      if (s < fa) events.push_back(Match{i + 2, full_of[s]});
+      if (s < fa) events.push_back(Match{i + 2, state_of[s]});
       s = tbl[(s << sh) | c2];
-      if (s < fa) events.push_back(Match{i + 3, full_of[s]});
+      if (s < fa) events.push_back(Match{i + 3, state_of[s]});
       s = tbl[(s << sh) | c3];
-      if (s < fa) events.push_back(Match{i + 4, full_of[s]});
+      if (s < fa) events.push_back(Match{i + 4, state_of[s]});
       i += kStride;
     }
     while (i < n) {
       s = tbl[(s << sh) | bc[p[i]]];
       ++i;
-      if (s < fa) events.push_back(Match{i, full_of[s]});
+      if (s < fa) events.push_back(Match{i, state_of[s]});
     }
     lane.consumed = n;
-    lane.state = full_of[s];
+    lane.state = state_of[s];
     return lane;
   }
 
   // One transition; returns false on a cold exit (the byte stays
-  // unconsumed: the caller's scalar loop re-resolves it via the full table).
+  // unconsumed: the caller re-resolves it with the automaton).
   const auto step = [&](std::uint32_t c) {
     const std::uint32_t t = tbl[(s << sh) | c];
     if (t == kColdExit) return false;
     s = t;
     ++i;
-    if (t < fa) events.push_back(Match{i, full_of[t]});
+    if (t < fa) events.push_back(Match{i, state_of[t]});
     return true;
   };
 
@@ -212,7 +206,7 @@ HotKernel::Lane HotKernel::scan(BytesView data, StateIndex start_state,
     }
   }
   lane.consumed = i;
-  lane.state = full_of[s];
+  lane.state = state_of[s];
   return lane;
 }
 
@@ -220,7 +214,7 @@ void HotKernel::scan_interleaved(Lane* lanes, std::size_t num_lanes) const {
   DPISVC_ASSERT_INVARIANT(num_lanes <= kMaxInterleave,
                           "interleave width exceeds kMaxInterleave");
   // Lanes whose start state is cold (or an unavailable kernel) finish
-  // immediately with consumed == 0; the caller runs them scalar. Lane
+  // immediately with consumed == 0; the caller steps the automaton. Lane
   // cursors live in dense local arrays for the whole walk — a lane's
   // pointer/position/state round-tripping through the Lane struct every
   // round would cost more than the round's four transitions.
@@ -246,7 +240,7 @@ void HotKernel::scan_interleaved(Lane* lanes, std::size_t num_lanes) const {
 
   const std::uint16_t* tbl = table_.data();
   const std::uint16_t* bc = class_of_.data();
-  const StateIndex* full_of = full_of_.data();
+  const StateIndex* state_of = state_of_.data();
   const std::uint32_t sh = class_shift_;
   const std::uint32_t fa = hot_accepting_;
   const bool complete = complete_;
@@ -274,13 +268,13 @@ void HotKernel::scan_interleaved(Lane* lanes, std::size_t num_lanes) const {
         const std::uint32_t c2 = bc[p[i + 2]];
         const std::uint32_t c3 = bc[p[i + 3]];
         s = tbl[(s << sh) | c0];
-        if (s < fa) lane.events->push_back(Match{i + 1, full_of[s]});
+        if (s < fa) lane.events->push_back(Match{i + 1, state_of[s]});
         s = tbl[(s << sh) | c1];
-        if (s < fa) lane.events->push_back(Match{i + 2, full_of[s]});
+        if (s < fa) lane.events->push_back(Match{i + 2, state_of[s]});
         s = tbl[(s << sh) | c2];
-        if (s < fa) lane.events->push_back(Match{i + 3, full_of[s]});
+        if (s < fa) lane.events->push_back(Match{i + 3, state_of[s]});
         s = tbl[(s << sh) | c3];
-        if (s < fa) lane.events->push_back(Match{i + 4, full_of[s]});
+        if (s < fa) lane.events->push_back(Match{i + 4, state_of[s]});
         pos[j] = i + kStride;
         st[j] = s;
         ++j;
@@ -292,7 +286,7 @@ void HotKernel::scan_interleaved(Lane* lanes, std::size_t num_lanes) const {
         if (t == kColdExit) return false;
         s = t;
         ++i;
-        if (t < fa) lane.events->push_back(Match{i, full_of[t]});
+        if (t < fa) lane.events->push_back(Match{i, state_of[t]});
         return true;
       };
 
@@ -314,7 +308,7 @@ void HotKernel::scan_interleaved(Lane* lanes, std::size_t num_lanes) const {
         // Retire the lane: write its final cursor back, then swap-with-last
         // to keep the active set dense.
         lane.consumed = i;
-        lane.state = full_of[s];
+        lane.state = state_of[s];
         --active;
         idx[j] = idx[active];
         st[j] = st[active];

@@ -1,31 +1,32 @@
-// Batched, cache-conscious scan kernel over the full-table DFA.
+// Batched, cache-conscious scan kernel: a u16 cache of the failure-link
+// automaton's near-root core.
 //
-// The scalar scan loop (FullAutomaton::scan) chases one 32-bit transition
-// per input byte through a `num_states * 256 * 4`-byte table. For realistic
-// rule sets that table runs to megabytes, so the per-byte load misses L1/L2
-// and the core stalls on memory latency — ROADMAP item 1 names this as
-// where the next order of magnitude lives. This kernel rebuilds the hot
-// transition path along the lines of Hyperflex (PAPERS.md, "A SIMD-based
-// DFA Model for Deep Packet Inspection"):
+// The failure-link automaton (CompressedAutomaton::step) binary-searches a
+// state's goto edges and may chase several failure links per input byte.
+// Almost every byte of real traffic, though, is walked within a few levels
+// of the root. This kernel caches exactly that core as a dense transition
+// table, along the lines of Hyperflex (PAPERS.md, "A SIMD-based DFA Model
+// for Deep Packet Inspection"):
 //
-//  * Byte-equivalence classes. Two input bytes are equivalent iff every
-//    state maps them to the same target; the table then needs one column
-//    per class, not per byte. Rule-set alphabets are narrow (ASCII-heavy
-//    Snort/ClamAV strings), so 256 columns typically collapse to well under
-//    half that — a direct multiplier on cache residency.
-//  * Narrow (u16) state ids for the hot core: the states reachable within
-//    the smallest depth bound that keeps the core within kMaxHotStates.
-//    Together with class columns the hot table is
-//    `hot_states * classes * 2` bytes — routinely 10-20x smaller than the
-//    full table, small enough to stay L2-resident under scan load.
+//  * Narrow (u16) state ids for the hot core: every state of depth <= D for
+//    the largest D that keeps the core within kMaxHotStates. Hot rows are
+//    filled straight from the automaton in depth order: the root row holds
+//    the root's edges (every other byte stays at the root), and any other
+//    hot state copies its failure state's row, then overwrites the bytes of
+//    its own edges. No 256-wide u32 row is ever built.
+//  * Byte classes: one per byte that labels an edge out of a hot state, plus
+//    one class for all other bytes, which lead every hot state back to the
+//    root. Rule-set alphabets are narrow (ASCII-heavy Snort/ClamAV strings),
+//    so the row is often far narrower than 256 columns; the table is
+//    `hot_states * stride * 2` bytes.
 //  * Accepting-first renumbering is preserved inside the core (hot ids of
 //    accepting states are exactly {0..hot_accepting-1}), so acceptance
 //    stays the single compare the paper calls out (§5.1).
 //  * Transitions that leave the hot core are encoded as the kColdExit
-//    sentinel; the kernel returns the position and the full-table state and
-//    the caller finishes that packet with the scalar loop. When the whole
-//    automaton fits, no cold exits exist at all; an automaton of more than
-//    kMaxHotStates states leaves the core on its deepest states.
+//    sentinel; the kernel returns the position and the automaton state, the
+//    caller steps the failure-link automaton while the state is cold and
+//    resumes the kernel once it is hot again. When the whole automaton fits,
+//    no cold exits exist at all.
 //  * A multi-byte-stride walk (kStride bytes per iteration, class lookups
 //    issued up front) plus an interleaved mode that advances several
 //    independent flows per pass: the transition loads of different lanes
@@ -36,19 +37,19 @@
 // Matches are emitted as (end_offset, accepting state) events into a
 // caller-owned buffer instead of through a per-byte callback, which keeps
 // the inner loop free of calls; the engine replays the events through the
-// identical §5.1/§5.2 filtering it applies to the scalar path. The kernel
+// identical §5.1/§5.2 filtering whichever walk produced them. The kernel
 // is portable C++ (no intrinsics required); cpu-feature detection only
 // widens the interleave factor where the memory subsystem can use it (see
-// kernel_policy()). src/verify proves the layout equal to the full table
-// transition-for-transition and cross-checks scan results byte-for-byte
-// against the compressed automaton, which never runs a kernel.
+// kernel_policy()). src/verify proves the layout equal to the paper's full
+// table transition-for-transition and cross-checks scan results
+// byte-for-byte against an engine that walks the automaton alone.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
-#include "ac/full_automaton.hpp"
+#include "ac/compressed_automaton.hpp"
 #include "common/bytes.hpp"
 
 namespace dpisvc::ac {
@@ -56,9 +57,9 @@ namespace dpisvc::ac {
 /// Narrow state id inside the hot core.
 using HotStateIndex = std::uint16_t;
 
-/// Sentinel hot-table entry: the transition leaves the hot core (resolve it
-/// through the full table and continue with the scalar loop). Also the
-/// "not a hot state" value of the full->hot map.
+/// Sentinel hot-table entry: the transition leaves the hot core (the caller
+/// resolves it with CompressedAutomaton::step). Also the "not a hot state"
+/// value of the automaton-state -> hot-id map.
 inline constexpr std::uint16_t kColdExit = 0xFFFF;
 
 /// Hot ids must stay below the sentinel.
@@ -79,10 +80,10 @@ const KernelPolicy& kernel_policy();
 
 class HotKernel {
  public:
-  /// One lane of an interleaved scan. `state` carries the full-automaton
-  /// resume state in and the reached state out; `consumed` reports how many
-  /// bytes the kernel walked (== data.size() unless a cold exit stopped the
-  /// lane early — the caller then continues scalar from `state` at
+  /// One lane of an interleaved scan. `state` carries the automaton resume
+  /// state in and the reached state out; `consumed` reports how many bytes
+  /// the kernel walked (== data.size() unless a cold exit stopped the lane
+  /// early — the caller then steps the automaton from `state` at
   /// data[consumed]). Match events append to `events` with end offsets
   /// relative to the start of `data`.
   struct Lane {
@@ -94,16 +95,17 @@ class HotKernel {
 
   HotKernel() = default;
 
-  /// Builds the hot-core layout from a full-table automaton. The hot set is
-  /// all states of depth <= D for the largest D that fits `max_hot_states`;
-  /// an automaton that fits entirely has no cold transitions. Returns an
-  /// unavailable kernel for degenerate inputs (no states).
-  static HotKernel build(const FullAutomaton& full,
+  /// Builds the hot-core cache of `automaton`. The hot set is all states of
+  /// depth <= D for the largest D that fits `max_hot_states`; an automaton
+  /// that fits entirely has no cold transitions. Returns an unavailable
+  /// kernel for degenerate inputs (no states, or a root layer too large).
+  static HotKernel build(const CompressedAutomaton& automaton,
                          std::uint32_t max_hot_states = kMaxHotStates);
 
   bool available() const noexcept { return num_hot_ != 0; }
 
-  // --- layout introspection (src/verify proves these against the table) ---
+  // --- layout introspection (src/verify proves these against the full
+  // table) ---
 
   std::uint32_t num_hot_states() const noexcept { return num_hot_; }
   std::uint32_t num_hot_accepting() const noexcept { return hot_accepting_; }
@@ -116,29 +118,29 @@ class HotKernel {
   std::uint16_t byte_class(std::uint8_t byte) const noexcept {
     return class_of_[byte];
   }
-  /// Hot id of a full-automaton state, or kColdExit if it is outside the
-  /// core.
-  std::uint16_t hot_id(StateIndex full_state) const {
-    return hot_of_[full_state];
+  /// Hot id of an automaton state, or kColdExit if it is outside the core.
+  /// These two require available().
+  std::uint16_t hot_id(StateIndex state) const { return hot_of_[state]; }
+  bool is_hot(StateIndex state) const { return hot_of_[state] != kColdExit; }
+  /// Automaton state of a hot id.
+  StateIndex state_id(HotStateIndex hot_state) const {
+    return state_of_[hot_state];
   }
-  StateIndex full_id(HotStateIndex hot_state) const {
-    return full_of_[hot_state];
-  }
-  /// Raw table entry: hot id of delta(full_id(state), b) for any byte b of
+  /// Raw table entry: hot id of delta(state_id(state), b) for any byte b of
   /// class `cls`, or kColdExit.
   std::uint16_t table_entry(HotStateIndex state, std::uint16_t cls) const {
     return table_[(static_cast<std::size_t>(state) << class_shift_) | cls];
   }
 
-  /// Resident bytes of the hot layout (table + maps).
+  /// Resident bytes of the hot layout (table + maps); 0 when unavailable.
   std::size_t memory_bytes() const noexcept;
 
   // --- scanning -----------------------------------------------------------
 
   /// Single-flow walk. Returns with consumed == data.size(), or earlier at
-  /// a cold exit (never consumes the cold byte: the caller's scalar loop
-  /// re-resolves it through the full table). A start state outside the core
-  /// returns immediately with consumed == 0.
+  /// a cold exit (never consumes the cold byte: the caller re-resolves it
+  /// with the automaton). A start state outside the core, or an unavailable
+  /// kernel, returns immediately with consumed == 0.
   Lane scan(BytesView data, StateIndex start_state,
             std::vector<Match>& events) const;
 
@@ -165,8 +167,8 @@ class HotKernel {
   bool complete_ = false;
   std::array<std::uint16_t, 256> class_of_{};
   std::vector<std::uint16_t> table_;   ///< num_hot << class_shift
-  std::vector<std::uint16_t> hot_of_;  ///< full id -> hot id / kColdExit
-  std::vector<StateIndex> full_of_;    ///< hot id -> full id
+  std::vector<std::uint16_t> hot_of_;  ///< state -> hot id / kColdExit
+  std::vector<StateIndex> state_of_;   ///< hot id -> state
 };
 
 }  // namespace dpisvc::ac

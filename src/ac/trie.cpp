@@ -101,4 +101,18 @@ const std::map<std::uint8_t, StateIndex>& Trie::children(
   return nodes_[state].children;
 }
 
+std::vector<StateIndex> Trie::accepting_first_ids(
+    std::uint32_t& num_accepting) const {
+  std::vector<StateIndex> new_id(nodes_.size());
+  num_accepting = 0;
+  for (StateIndex s = 0; s < nodes_.size(); ++s) {
+    if (!nodes_[s].output.empty()) new_id[s] = num_accepting++;
+  }
+  StateIndex next_plain = num_accepting;
+  for (StateIndex s = 0; s < nodes_.size(); ++s) {
+    if (nodes_[s].output.empty()) new_id[s] = next_plain++;
+  }
+  return new_id;
+}
+
 }  // namespace dpisvc::ac

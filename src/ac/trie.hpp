@@ -7,10 +7,14 @@
 // at the state, unioned with the failure target's output so that suffix
 // patterns are reported, the propagation rule of §5.1).
 //
-// The trie is the shared intermediate for both runtime representations:
-//  - ac::FullAutomaton  — full 256-ary transition table (fastest, largest);
-//  - ac::CompressedAutomaton — forward transitions + failure pointers
-//    (the compact variant dedicated MCA² instances run, §4.3.1).
+// The trie is the shared intermediate for both representations:
+//  - ac::CompressedAutomaton — forward transitions + failure pointers, the
+//    one automaton every dpi::Engine holds (the compact form MCA² dedicated
+//    instances run, §4.3.1; regular engines add ac::HotKernel, a u16 cache
+//    of its near-root core);
+//  - ac::FullAutomaton — the paper's full 256-ary transition table, kept as
+//    the reference that src/verify proves the engine against and that Table
+//    2's "Space" column sizes.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,15 @@ using PatternIndex = std::uint32_t;
 using StateIndex = std::uint32_t;
 
 inline constexpr StateIndex kNoState = std::numeric_limits<StateIndex>::max();
+
+/// One reported match during a scan.
+struct Match {
+  /// Byte offset one past the last byte of the matched pattern (i.e. the
+  /// number of bytes scanned when the match fired — the paper's `cnt`).
+  std::uint64_t end_offset = 0;
+  /// The accepting state that fired; key into matches_at() / user tables.
+  StateIndex accept_state = 0;
+};
 
 class Trie {
  public:
@@ -60,6 +73,12 @@ class Trie {
 
   /// Children of a state in byte order, as (byte, target) pairs.
   const std::map<std::uint8_t, StateIndex>& children(StateIndex state) const;
+
+  /// The dense renumbering both automata use (§5.1): new ids of all states,
+  /// accepting ones exactly {0..f-1}, each group in trie order. Sets
+  /// `num_accepting` to f. Requires finalize().
+  std::vector<StateIndex> accepting_first_ids(
+      std::uint32_t& num_accepting) const;
 
   static constexpr StateIndex root() noexcept { return 0; }
 

@@ -1,10 +1,13 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <bitset>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "ac/hot_kernel.hpp"
 #include "regex/parser.hpp"
 
 namespace dpisvc::analysis {
@@ -47,38 +50,32 @@ class Findings {
   std::size_t total_ = 0;
 };
 
-/// Engine::compile's degenerate placeholder (see engine.cpp): an empty
-/// string table still builds a one-pattern automaton over these 22 bytes.
-constexpr std::string_view kPlaceholder("\x00\x01\x02\x03placeholder-unused",
-                                        22);
-
 // Compiled-artifact element sizes the memory model multiplies out. Where the
 // type is public we take sizeof directly; CompressedAutomaton's EdgeRange
-// {uint32, uint32} and Edge {uint8, StateIndex} are private, so their sizes
-// (8 each after padding) are mirrored here and cross-checked by the
-// calibration test against actual memory_bytes().
+// {uint32, uint32} is private, so its size is mirrored here and
+// cross-checked by the calibration test against actual memory_bytes().
 constexpr std::size_t kEdgeRangeBytes = 8;
-constexpr std::size_t kEdgeBytes = 8;
 constexpr std::size_t kMatchRowOverhead = sizeof(std::vector<ac::PatternIndex>);
 constexpr std::size_t kTargetRowOverhead =
     sizeof(std::vector<dpi::Engine::MatchTarget>);
 
-struct MemoryModel {
-  std::size_t full = 0;        ///< FullAutomaton::memory_bytes()
-  std::size_t compressed = 0;  ///< CompressedAutomaton::memory_bytes()
-};
-
-MemoryModel automaton_memory(std::size_t states, std::size_t accepting,
-                             std::size_t match_entries) {
-  MemoryModel m;
-  const std::size_t rows =
-      accepting * kMatchRowOverhead + match_entries * sizeof(ac::PatternIndex);
-  m.full = states * 256 * sizeof(ac::StateIndex) +
-           states * sizeof(std::uint32_t) + rows;
-  m.compressed = states * kEdgeRangeBytes + (states - 1) * kEdgeBytes +
-                 states * sizeof(ac::StateIndex) +
-                 states * sizeof(std::uint32_t) + rows;
-  return m;
+/// HotKernel::memory_bytes() over the trie: the hot core is every state of
+/// depth <= D for the largest D that fits ac::kMaxHotStates, with one byte
+/// class per byte labelling an edge out of a hot state plus one for all
+/// other bytes, and rows padded to a power of two.
+std::size_t kernel_memory(const TrieStats& trie) {
+  std::size_t hot = trie.states_per_depth[0];
+  std::bitset<256> labels = trie.edge_labels_per_depth[0];
+  for (std::size_t d = 1; d < trie.states_per_depth.size() &&
+                          hot + trie.states_per_depth[d] <= ac::kMaxHotStates;
+       ++d) {
+    hot += trie.states_per_depth[d];
+    labels |= trie.edge_labels_per_depth[d];
+  }
+  const std::size_t classes = labels.count() + (labels.all() ? 0 : 1);
+  return hot * std::bit_ceil(classes) * sizeof(std::uint16_t) +
+         trie.states * sizeof(std::uint16_t) + hot * sizeof(ac::StateIndex) +
+         256 * sizeof(std::uint16_t);
 }
 
 /// Body split out so the Findings destructors (which append the
@@ -305,32 +302,25 @@ void analyze_into(const dpi::EngineSpec& spec, const AnalysisOptions& options,
     trie.insert(anchor, 1);
   }
 
-  MemoryModel automaton;
-  if (trie.num_states() == 1) {
-    // Degenerate spec: Engine::compile swaps in a never-matching placeholder
-    // pattern (always in the full-table representation).
-    TrieEstimator placeholder;
-    placeholder.insert(kPlaceholder, 0);
-    const TrieStats stats = placeholder.stats();
-    report.distinct_strings = 0;
-    report.predicted_states = stats.states;
-    report.predicted_accepting = stats.accepting;
-    report.predicted_match_entries = stats.match_entries;
-    report.predicted_target_entries = 0;
-    report.trie = TrieStats{};
-    automaton = automaton_memory(stats.states, stats.accepting,
-                                 stats.match_entries);
-    automaton.compressed = automaton.full;
-  } else {
-    report.trie = trie.stats();
-    report.distinct_strings = report.trie.pattern_count;
-    report.predicted_states = report.trie.states;
-    report.predicted_accepting = report.trie.accepting;
-    report.predicted_match_entries = report.trie.match_entries;
-    report.predicted_target_entries = report.trie.weighted_match_entries;
-    automaton = automaton_memory(report.trie.states, report.trie.accepting,
-                                 report.trie.match_entries);
-  }
+  report.trie = trie.stats();
+  report.distinct_strings = report.trie.pattern_count;
+  report.predicted_states = report.trie.states;
+  report.predicted_accepting = report.trie.accepting;
+  report.predicted_match_entries = report.trie.match_entries;
+  report.predicted_target_entries = report.trie.weighted_match_entries;
+  // memory_bytes() of the paper's full table and of the engine's automaton:
+  // a 256-wide row, or an edge range, edges and a failure link per state,
+  // plus depths and match rows in both.
+  const TrieStats& t = report.trie;
+  const std::size_t per_state_and_rows =
+      t.states * sizeof(std::uint32_t) + t.accepting * kMatchRowOverhead +
+      t.match_entries * sizeof(ac::PatternIndex);
+  const std::size_t full_table =
+      t.states * 256 * sizeof(ac::StateIndex) + per_state_and_rows;
+  const std::size_t automaton =
+      t.states * (kEdgeRangeBytes + sizeof(ac::StateIndex)) +
+      t.edges * sizeof(ac::CompressedAutomaton::Edge) + per_state_and_rows;
+  report.predicted_kernel_memory = kernel_memory(t);
 
   // Engine-level additions on top of the automaton (Engine::memory_bytes).
   const std::size_t engine_extra =
@@ -339,9 +329,9 @@ void analyze_into(const dpi::EngineSpec& spec, const AnalysisOptions& options,
       report.predicted_target_entries * sizeof(dpi::Engine::MatchTarget) +
       anchor_occurrences * sizeof(std::uint32_t);
   report.predicted_memory_full =
-      sat_add(sat_add(automaton.full, engine_extra), program_bytes);
+      sat_add(sat_add(full_table, engine_extra), program_bytes);
   report.predicted_memory_compressed =
-      sat_add(sat_add(automaton.compressed, engine_extra), program_bytes);
+      sat_add(sat_add(automaton, engine_extra), program_bytes);
 
   // --- combined budgets ----------------------------------------------------
   if (options.budget.max_automaton_states != 0 &&
@@ -350,13 +340,12 @@ void analyze_into(const dpi::EngineSpec& spec, const AnalysisOptions& options,
                    report.predicted_states, " states (budget ",
                    options.budget.max_automaton_states, ")");
   }
-  const std::size_t predicted_memory = options.engine.use_compressed_automaton
-                                           ? report.predicted_memory_compressed
-                                           : report.predicted_memory_full;
   if (options.budget.max_memory_bytes != 0 &&
-      predicted_memory > options.budget.max_memory_bytes) {
-    violations.add("memory-over-budget", "predicted engine footprint is ",
-                   predicted_memory, " bytes (budget ",
+      report.predicted_resident_memory() > options.budget.max_memory_bytes) {
+    violations.add("memory-over-budget",
+                   "predicted resident engine footprint (automaton, tables "
+                   "and hot kernel) is ",
+                   report.predicted_resident_memory(), " bytes (budget ",
                    options.budget.max_memory_bytes, ")");
   }
 }

@@ -1,7 +1,8 @@
 // Pattern-set admission analysis: predict the combined engine an EngineSpec
-// would compile to — states, accepting states, match-row totals, memory in
-// both automaton representations — and police it against a configurable
-// budget, all without compiling the spec.
+// would compile to — states, accepting states, match-row totals, the bytes
+// of the engine and of its hot kernel, and the size of the paper's full
+// table — and police it against a configurable budget, all without
+// compiling the spec.
 //
 // The analyzer plays two roles:
 //
@@ -37,7 +38,9 @@ namespace dpisvc::analysis {
 /// default-constructed budget admits everything a compile would accept.
 struct AnalysisBudget {
   std::size_t max_automaton_states = 0;   ///< predicted combined AC states
-  std::size_t max_memory_bytes = 0;       ///< predicted engine memory
+  /// Predicted resident bytes of a regular engine (automaton and tables
+  /// plus the hot kernel); a dedicated engine is never larger.
+  std::size_t max_memory_bytes = 0;
   std::size_t max_regex_nfa_instructions = 0;  ///< per expression
   std::size_t max_regex_dfa_states = 0;   ///< per expression (capped == over)
   std::size_t max_patterns_per_middlebox = 0;  ///< exact + regex per tenant
@@ -49,9 +52,9 @@ struct AnalysisBudget {
 struct AnalysisOptions {
   AnalysisBudget budget;
   /// Must match the EngineConfig the spec will actually be compiled with:
-  /// anchor_min_length changes the distinct-string set, max_anchor_bits is a
-  /// hard compile failure, use_compressed_automaton selects which memory
-  /// model the budget is checked against.
+  /// anchor_min_length changes the distinct-string set and max_anchor_bits
+  /// is a hard compile failure. hot_kernel does not matter: the memory
+  /// budget always applies to the regular engine.
   dpi::EngineConfig engine;
   /// Per-expression subset-construction exploration cap (see RegexCostOptions).
   std::size_t dfa_state_cap = 2048;
@@ -77,8 +80,12 @@ struct PatternSetReport {
   std::size_t predicted_match_entries = 0;   ///< automaton match-row total
   std::size_t predicted_target_entries = 0;  ///< engine accept-target total
   std::size_t anchor_bits = 0;          ///< distinct anchor strings
-  std::size_t predicted_memory_full = 0;        ///< full-table engine bytes
-  std::size_t predicted_memory_compressed = 0;  ///< compressed engine bytes
+  /// The paper's full-table representation with the same tables (Table 2's
+  /// "Space"); no engine holds it.
+  std::size_t predicted_memory_full = 0;
+  std::size_t predicted_memory_compressed = 0;  ///< == Engine::memory_bytes()
+  /// == kernel_memory_bytes() of a regular engine (0 for a dedicated one).
+  std::size_t predicted_kernel_memory = 0;
   std::size_t total_regex_instructions = 0;  ///< saturating sum
   TrieStats trie;
   std::vector<RegexReport> regexes;
@@ -100,6 +107,11 @@ struct PatternSetReport {
   std::vector<verify::Diagnostic> warnings;
 
   bool admissible() const noexcept { return violations.empty(); }
+
+  /// What a regular engine holds resident; the memory budget's figure.
+  std::size_t predicted_resident_memory() const noexcept {
+    return predicted_memory_compressed + predicted_kernel_memory;
+  }
 };
 
 /// Analyzes a full spec. Never throws on bad pattern input — malformed
@@ -109,7 +121,8 @@ PatternSetReport analyze(const dpi::EngineSpec& spec,
 
 /// The memory-model constant documented for the calibration test: predicted
 /// memory is exact for the automaton tables; only allocator slack is outside
-/// the model, so predictions must equal Engine::memory_bytes() exactly.
+/// the model, so predictions must equal Engine::memory_bytes() and
+/// kernel_memory_bytes() exactly.
 /// (Kept as a named factor so the docs and tests share one number.)
 inline constexpr double kMemoryCalibrationFactor = 1.0;
 

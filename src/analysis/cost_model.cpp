@@ -379,8 +379,16 @@ TrieStats TrieEstimator::stats() const {
       queue.push(v);
     }
   }
+  for (const NodeRec& node : nodes_) {
+    out.max_depth = std::max<std::size_t>(out.max_depth, node.depth);
+  }
+  out.states_per_depth.assign(out.max_depth + 1, 0);
+  out.edge_labels_per_depth.assign(out.max_depth + 1, {});
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
-    out.max_depth = std::max<std::size_t>(out.max_depth, nodes_[v].depth);
+    ++out.states_per_depth[nodes_[v].depth];
+    for (const auto& [byte, child] : nodes_[v].children) {
+      out.edge_labels_per_depth[nodes_[v].depth].set(byte);
+    }
     if (ends_total[v] > 0) {
       ++out.accepting;
       out.match_entries += static_cast<std::size_t>(ends_total[v]);

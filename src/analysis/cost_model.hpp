@@ -16,7 +16,9 @@
 //    insert() returns the marginal state growth of each pattern (shared
 //    prefixes are free), and stats() computes — via its own failure-link
 //    BFS, sharing no code with src/ac — the exact state/accepting counts and
-//    propagated match-row totals the real FullAutomaton would materialize.
+//    propagated match-row totals the real automaton materializes, plus the
+//    per-depth state counts and edge labels the hot kernel's size depends
+//    on.
 //
 // The estimator is deliberately exact where exactness is cheap (trie states,
 // accepting states, match-row entries are reproduced by definition) and a
@@ -24,6 +26,7 @@
 // against actual src/ac + dpi::Engine compilation of the seed workloads.
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -96,7 +99,7 @@ RegexCost analyze_regex(std::string_view expression,
 /// Aggregate statistics of the predicted shared AC automaton; all counts are
 /// exact for the trie the engine would build over the same distinct strings.
 struct TrieStats {
-  std::size_t states = 1;          ///< incl. root; == FullAutomaton::num_states
+  std::size_t states = 1;          ///< incl. root; == automaton num_states
   std::size_t accepting = 0;       ///< states with non-empty propagated output
   std::size_t edges = 0;           ///< goto edges (== states - 1)
   std::size_t pattern_count = 0;   ///< distinct strings inserted
@@ -105,7 +108,7 @@ struct TrieStats {
   std::size_t max_depth = 0;
   /// Total match-row entries after suffix propagation at distinct-string
   /// granularity (one entry per string per accepting state whose failure
-  /// chain ends it) — the row total a FullAutomaton materializes.
+  /// chain ends it) — the row total the automaton materializes.
   std::size_t match_entries = 0;
   /// Same propagation weighted by caller-supplied per-string weights (the
   /// analyzer passes registration counts + anchor bits, predicting the
@@ -114,6 +117,10 @@ struct TrieStats {
   /// match_entries - pattern_count: propagated entries caused by one string
   /// being a proper suffix of a path to another state (cross-set overlap).
   std::size_t suffix_overlap_entries = 0;
+  /// Per depth (index = depth, 0..max_depth): the number of states, and the
+  /// bytes labelling edges out of those states.
+  std::vector<std::size_t> states_per_depth = {1};
+  std::vector<std::bitset<256>> edge_labels_per_depth = {{}};
 };
 
 /// Incremental prefix-trie model of the shared AC automaton. Shares no code

@@ -27,13 +27,8 @@ const Engine::Chain& Engine::chain_at(ChainId chain) const {
   return it->second;
 }
 
-std::uint32_t Engine::num_automaton_states() const noexcept {
-  return std::visit([](const auto& a) { return a.num_states(); }, automaton_);
-}
-
 std::size_t Engine::memory_bytes() const noexcept {
-  std::size_t total =
-      std::visit([](const auto& a) { return a.memory_bytes(); }, automaton_);
+  std::size_t total = automaton_.memory_bytes();
   total += accept_bitmaps_.size() * sizeof(MiddleboxBitmap);
   for (const auto& row : accept_targets_) {
     total += sizeof(row) + row.size() * sizeof(MatchTarget);
@@ -45,10 +40,12 @@ std::size_t Engine::memory_bytes() const noexcept {
   return total;
 }
 
-ac::StateIndex Engine::traverse_only(BytesView payload) const noexcept {
-  return std::visit(
-      [&](const auto& a) { return a.traverse(payload, a.start_state()); },
-      automaton_);
+ac::StateIndex Engine::traverse_only(BytesView payload) const {
+  static thread_local std::vector<ac::Match> events;
+  events.clear();
+  const ac::HotKernel::Lane lane =
+      kernel_.scan(payload, automaton_.start_state(), events);
+  return finish_walk(payload, lane.consumed, lane.state, events);
 }
 
 std::shared_ptr<const Engine> Engine::compile(const EngineSpec& spec,
@@ -175,53 +172,30 @@ std::shared_ptr<const Engine> Engine::compile(const EngineSpec& spec,
     entry_of_index.push_back(&entry);
   }
 
-  auto fill_tables = [&](const auto& automaton) {
-    const std::uint32_t f = automaton.num_accepting();
-    engine->accept_bitmaps_.assign(f, 0);
-    engine->accept_targets_.resize(f);
-    for (std::uint32_t s = 0; s < f; ++s) {
-      std::vector<MatchTarget>& row = engine->accept_targets_[s];
-      for (ac::PatternIndex g : automaton.matches_at(s)) {
-        const StringEntry& entry = *entry_of_index[g];
-        row.insert(row.end(), entry.targets.begin(), entry.targets.end());
-        for (const MatchTarget& t : entry.targets) {
-          engine->accept_bitmaps_[s] |= t.owners;
-        }
+  engine->automaton_ = ac::CompressedAutomaton::build(trie);
+  const std::uint32_t f = engine->automaton_.num_accepting();
+  engine->accept_bitmaps_.assign(f, 0);
+  engine->accept_targets_.resize(f);
+  for (std::uint32_t s = 0; s < f; ++s) {
+    std::vector<MatchTarget>& row = engine->accept_targets_[s];
+    for (ac::PatternIndex g : engine->automaton_.matches_at(s)) {
+      const StringEntry& entry = *entry_of_index[g];
+      row.insert(row.end(), entry.targets.begin(), entry.targets.end());
+      for (const MatchTarget& t : entry.targets) {
+        engine->accept_bitmaps_[s] |= t.owners;
       }
-      // §5.1: the match table stores a list sorted by middlebox id.
-      std::sort(row.begin(), row.end(),
-                [](const MatchTarget& a, const MatchTarget& b) {
-                  if (a.is_anchor != b.is_anchor) return b.is_anchor;
-                  if (a.middlebox != b.middlebox) return a.middlebox < b.middlebox;
-                  return a.pattern_id < b.pattern_id;
-                });
-      // §5.1: an accepting state with no interested target would mean the
-      // dense renumbering and the match table disagree about acceptance.
-      DPISVC_ASSERT_INVARIANT(!row.empty(),
-                              "accepting state must have at least one target");
     }
-  };
-
-  if (strings.empty()) {
-    // Degenerate engine (regex-only or empty); build a one-state automaton
-    // by leaving the variant's default (empty FullAutomaton is unusable, so
-    // insert a never-matching placeholder pattern).
-    ac::Trie placeholder;
-    placeholder.insert(std::string_view("\x00\x01\x02\x03placeholder-unused",
-                                        22),
-                       0);
-    auto automaton = ac::FullAutomaton::build(placeholder);
-    engine->accept_bitmaps_.assign(automaton.num_accepting(), 0);
-    engine->accept_targets_.resize(automaton.num_accepting());
-    engine->automaton_ = std::move(automaton);
-  } else if (config.use_compressed_automaton) {
-    auto automaton = ac::CompressedAutomaton::build(trie);
-    fill_tables(automaton);
-    engine->automaton_ = std::move(automaton);
-  } else {
-    auto automaton = ac::FullAutomaton::build(trie);
-    fill_tables(automaton);
-    engine->automaton_ = std::move(automaton);
+    // §5.1: the match table stores a list sorted by middlebox id.
+    std::sort(row.begin(), row.end(),
+              [](const MatchTarget& a, const MatchTarget& b) {
+                if (a.is_anchor != b.is_anchor) return b.is_anchor;
+                if (a.middlebox != b.middlebox) return a.middlebox < b.middlebox;
+                return a.pattern_id < b.pattern_id;
+              });
+    // §5.1: an accepting state with no interested target would mean the
+    // dense renumbering and the match table disagree about acceptance.
+    DPISVC_ASSERT_INVARIANT(!row.empty(),
+                            "accepting state must have at least one target");
   }
 
   // --- policy chains (§5.2) ------------------------------------------------
@@ -250,11 +224,10 @@ std::shared_ptr<const Engine> Engine::compile(const EngineSpec& spec,
   }
 
   // --- hot scan kernel -----------------------------------------------------
-  // Built over the full-table automaton only: the compressed automaton (the
-  // MCA² dedicated-instance engine) keeps its small footprint and walks with
-  // its own scalar loop.
-  if (const auto* full = std::get_if<ac::FullAutomaton>(&engine->automaton_)) {
-    engine->kernel_ = ac::HotKernel::build(*full);
+  // A cache of the automaton's core; MCA² dedicated engines go without one
+  // and keep the automaton's small footprint.
+  if (config.hot_kernel) {
+    engine->kernel_ = ac::HotKernel::build(engine->automaton_);
   }
 
   return engine;
@@ -353,7 +326,7 @@ void Engine::finish_scan(const Chain& chain, const Prepared& prep,
   MiddleboxBitmap mboxes_with_matches = 0;
 
   // §5.1 filtering of the walk's accepting-state events. The walk (hot
-  // kernel and scalar loop) only reports (end offset, accepting state)
+  // kernel and automaton steps) only reports (end offset, accepting state)
   // pairs; everything per-middlebox happens here.
   result.raw_hits = events.size();
   for (const ac::Match& m : events) {
@@ -470,10 +443,9 @@ void Engine::finish_scan(const Chain& chain, const Prepared& prep,
   }
 }
 
-template <typename Automaton>
-void Engine::scan_group(const Automaton& automaton, const Chain& chain,
-                        const BytesView* payloads, const FlowCursor* cursors,
-                        std::size_t n, ScanResult* results) const {
+void Engine::scan_group(const Chain& chain, const BytesView* payloads,
+                        const FlowCursor* cursors, std::size_t n,
+                        ScanResult* results) const {
   constexpr std::size_t kMaxLanes = ac::HotKernel::kMaxInterleave;
   DPISVC_ASSERT_INVARIANT(n >= 1 && n <= kMaxLanes,
                           "a scan group holds 1..kMaxInterleave packets");
@@ -492,7 +464,7 @@ void Engine::scan_group(const Automaton& automaton, const Chain& chain,
 
   // 1. Prepare: stop clamp and resume state of each packet.
   for (std::size_t j = 0; j < n; ++j) {
-    preps[j] = prepare_scan(automaton.start_state(), chain, payloads[j],
+    preps[j] = prepare_scan(automaton_.start_state(), chain, payloads[j],
                             cursor_of(j));
     events[j].clear();
     lanes[j] = ac::HotKernel::Lane{preps[j].scanned, preps[j].state, 0,
@@ -502,30 +474,53 @@ void Engine::scan_group(const Automaton& automaton, const Chain& chain,
   // 2. The hot kernel walks each lane until it ends or leaves the core. A
   // lone packet takes the single-lane walk, which is faster per byte than a
   // one-lane lockstep pass. Without a kernel every lane stays at byte 0.
-  if (kernel_.available()) {
-    if (n == 1) {
-      lanes[0] = kernel_.scan(lanes[0].data, lanes[0].state, events[0]);
-    } else {
-      kernel_.scan_interleaved(lanes.data(), n);
-    }
+  if (n == 1) {
+    lanes[0] = kernel_.scan(lanes[0].data, lanes[0].state, events[0]);
+  } else {
+    kernel_.scan_interleaved(lanes.data(), n);
   }
 
+  // 3. Finish each lane's walk, then filter, update the cursor, run regexes
+  // and emit sections.
   for (std::size_t j = 0; j < n; ++j) {
-    // 3. The automaton's scalar loop finishes the lane from where the
-    // kernel stopped, shifting event offsets back to the scanned slice.
-    const std::size_t done = lanes[j].consumed;
-    ac::StateIndex state = lanes[j].state;
-    if (done < preps[j].scanned.size()) {
-      std::vector<ac::Match>& lane_events = events[j];
-      state = automaton.scan(
-          preps[j].scanned.subspan(done), state, [&](ac::Match m) {
-            lane_events.push_back(
-                ac::Match{m.end_offset + done, m.accept_state});
-          });
-    }
-    // 4. Filter, update the cursor, run regexes, emit sections.
+    const ac::StateIndex state = finish_walk(
+        preps[j].scanned, lanes[j].consumed, lanes[j].state, events[j]);
     finish_scan(chain, preps[j], cursor_of(j), state, events[j], results[j]);
   }
+}
+
+ac::StateIndex Engine::finish_walk(BytesView bytes, std::size_t done,
+                                   ac::StateIndex state,
+                                   std::vector<ac::Match>& events) const {
+  const bool kernel = kernel_.available();
+  while (done < bytes.size()) {
+    // The automaton steps over the cold stretch: from a cold exit (the
+    // kernel left `state` hot but did not take the byte), from a cold
+    // resume state, or to the end when there is no kernel.
+    do {
+      DPISVC_ASSERT_INVARIANT(
+          !kernel || !kernel_.is_hot(state) ||
+              !kernel_.is_hot(automaton_.step(state, bytes[done])),
+          "the automaton steps from a hot state only over a cold exit");
+      state = automaton_.step(state, bytes[done]);
+      ++done;
+      if (automaton_.is_accepting(state)) {
+        events.push_back(ac::Match{done, state});
+      }
+    } while (done < bytes.size() && !(kernel && kernel_.is_hot(state)));
+    if (done == bytes.size()) break;
+    // Hot again: the kernel resumes, its event offsets shifted from the
+    // resumed slice to `bytes`.
+    const std::size_t first = events.size();
+    const ac::HotKernel::Lane lane =
+        kernel_.scan(bytes.subspan(done), state, events);
+    for (std::size_t k = first; k < events.size(); ++k) {
+      events[k].end_offset += done;
+    }
+    done += lane.consumed;
+    state = lane.state;
+  }
+  return state;
 }
 
 namespace {
@@ -601,13 +596,8 @@ void Engine::evaluate_regexes(MiddleboxBitmap active,
 
 ScanResult Engine::scan_packet(ChainId chain, BytesView payload,
                                const FlowCursor& cursor) const {
-  const Chain& resolved = chain_at(chain);
   ScanResult result;
-  std::visit(
-      [&](const auto& automaton) {
-        scan_group(automaton, resolved, &payload, &cursor, 1, &result);
-      },
-      automaton_);
+  scan_group(chain_at(chain), &payload, &cursor, 1, &result);
   return result;
 }
 
@@ -622,17 +612,11 @@ std::vector<ScanResult> Engine::scan_batch(ChainId chain,
   const std::size_t width = std::min<std::size_t>(
       ac::kernel_policy().interleave, ac::HotKernel::kMaxInterleave);
   std::vector<ScanResult> out(payloads.size());
-  // One variant visit for the whole batch.
-  std::visit(
-      [&](const auto& automaton) {
-        for (std::size_t base = 0; base < payloads.size(); base += width) {
-          scan_group(automaton, resolved, payloads.data() + base,
-                     cursors != nullptr ? cursors->data() + base : nullptr,
-                     std::min(width, payloads.size() - base),
-                     out.data() + base);
-        }
-      },
-      automaton_);
+  for (std::size_t base = 0; base < payloads.size(); base += width) {
+    scan_group(resolved, payloads.data() + base,
+               cursors != nullptr ? cursors->data() + base : nullptr,
+               std::min(width, payloads.size() - base), out.data() + base);
+  }
   if (cursors != nullptr) {
     for (std::size_t i = 0; i < out.size(); ++i) (*cursors)[i] = out[i].cursor;
   }

@@ -5,7 +5,10 @@
 //
 //  * one combined Aho-Corasick automaton over the union of all exact
 //    patterns and all regex anchors, with accepting states renumbered to
-//    {0..f-1} (§5.1);
+//    {0..f-1} (§5.1), in its failure-link form (ac::CompressedAutomaton);
+//  * on a regular engine, the hot kernel (ac::HotKernel): a u16 cache of
+//    that automaton's near-root core, which the scan walks while the state
+//    is hot;
 //  * a direct-access match table: accepting state -> sorted list of
 //    (middlebox id, local pattern id, pattern length) triples, with suffix
 //    patterns propagated;
@@ -30,11 +33,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "ac/compressed_automaton.hpp"
-#include "ac/full_automaton.hpp"
 #include "ac/hot_kernel.hpp"
 #include "common/bytes.hpp"
 #include "dpi/types.hpp"
@@ -69,11 +70,11 @@ struct EngineSpec {
 };
 
 struct EngineConfig {
-  /// Use the failure-link automaton instead of the full table (the MCA²
-  /// dedicated-instance configuration, §4.3.1).
-  /// The automaton also decides the walk: compile() builds the hot kernel
-  /// (ac/hot_kernel.hpp) for the full table and none for the compressed one.
-  bool use_compressed_automaton = false;
+  /// Build the hot kernel (ac/hot_kernel.hpp) over the automaton's core, so
+  /// the scan walks u16 rows while the state is hot. MCA² dedicated
+  /// instances turn it off (§4.3.1): they walk the failure-link automaton
+  /// alone and keep its small footprint.
+  bool hot_kernel = true;
   /// Anchors shorter than this are not extracted from regexes (§5.3).
   std::size_t anchor_min_length = 4;
   /// §5.1's accepting-state bitmap optimization: one AND against the active
@@ -206,9 +207,9 @@ class Engine {
                          const FlowCursor& cursor = {}) const;
 
   /// Batched ingest (§6 scaling): scans a vector of independent packets of
-  /// one chain with a single chain resolution and automaton dispatch,
-  /// instead of one map lookup + variant visit per packet, and lets the hot
-  /// kernel walk kernel_policy().interleave packets in lockstep. Results are
+  /// one chain with a single chain resolution instead of one map lookup per
+  /// packet, and lets the hot kernel walk kernel_policy().interleave packets
+  /// in lockstep. Results are
   /// byte-identical to scanning the packets one by one. When `cursors` is
   /// non-null it must have one entry per payload; each entry supplies that
   /// packet's resume state and receives the updated cursor. Packets of the
@@ -244,13 +245,12 @@ class Engine {
     return chain_at(chain).read_only;
   }
 
-  /// True when scans run the hot kernel: compile() builds one for the
-  /// full-table automaton and none for the compressed one.
+  /// True when scans run the hot kernel (EngineConfig::hot_kernel).
   bool kernel_active() const noexcept { return kernel_.available(); }
   /// The compiled hot-core layout, or nullptr when none was built. The
-  /// static verifier proves it transition-for-transition equal to the full
-  /// table. NOT counted in memory_bytes() (which is the Table 2 "Space"
-  /// column that src/analysis predicts exactly); see kernel_memory_bytes().
+  /// static verifier proves it transition-for-transition equal to the
+  /// paper's full table. Its bytes are kernel_memory_bytes(), not part of
+  /// memory_bytes(); src/analysis predicts both exactly.
   const ac::HotKernel* hot_kernel() const noexcept {
     return kernel_.available() ? &kernel_ : nullptr;
   }
@@ -261,18 +261,17 @@ class Engine {
   std::size_t num_exact_patterns() const noexcept { return num_exact_; }
   std::size_t num_regex_patterns() const noexcept { return regexes_.size(); }
   std::size_t num_distinct_strings() const noexcept { return num_strings_; }
-  std::uint32_t num_automaton_states() const noexcept;
-  bool uses_compressed_automaton() const noexcept {
-    return std::holds_alternative<ac::CompressedAutomaton>(automaton_);
+  std::uint32_t num_automaton_states() const noexcept {
+    return automaton_.num_states();
   }
 
-  /// Resident size of the compiled structures (Table 2 "Space" column).
+  /// Resident size of the automaton and the match, bitmap and regex tables.
+  /// The engine holds kernel_memory_bytes() on top.
   std::size_t memory_bytes() const noexcept;
 
   // --- verifier introspection (src/verify) ---------------------------------
 
-  const std::variant<ac::FullAutomaton, ac::CompressedAutomaton>& automaton()
-      const noexcept {
+  const ac::CompressedAutomaton& automaton() const noexcept {
     return automaton_;
   }
   std::uint32_t num_accepting_states() const noexcept {
@@ -288,11 +287,11 @@ class Engine {
     return chains_;
   }
 
-  /// Raw automaton traversal with no match collection; the throughput
-  /// baseline benches use this to isolate DFA speed. Returns the final
-  /// automaton state (callers must consume it so the traversal is not
-  /// optimized away).
-  ac::StateIndex traverse_only(BytesView payload) const noexcept;
+  /// The scan walk alone, from the start state, with its match events
+  /// dropped: no filtering, regexes or cursor. The throughput baseline
+  /// benches use this to isolate DFA speed. Returns the final automaton
+  /// state (callers must consume it so the traversal is not optimized away).
+  ac::StateIndex traverse_only(BytesView payload) const;
 
  private:
   Engine() = default;
@@ -319,16 +318,22 @@ class Engine {
 
   /// The one scan walk: scan_packet() is a group of one and scan_batch() a
   /// sequence of groups. Scans payloads[0..n) of `chain`, n <=
-  /// ac::kernel_policy().interleave, in four steps: prepare each packet; let
-  /// the hot kernel walk what it can (one lane alone, lanes in lockstep
-  /// otherwise, nothing when compile() built no kernel); finish each packet
-  /// with the automaton's scalar loop from where the kernel stopped; then
-  /// finish_scan into results[j]. `cursors` is null when the packets carry
-  /// no flow state.
-  template <typename Automaton>
-  void scan_group(const Automaton& automaton, const Chain& chain,
-                  const BytesView* payloads, const FlowCursor* cursors,
-                  std::size_t n, ScanResult* results) const;
+  /// ac::kernel_policy().interleave, in three steps: prepare each packet;
+  /// let the hot kernel walk each lane while its state is hot (one lane
+  /// alone, lanes in lockstep otherwise, nothing without a kernel); then
+  /// finish_walk and finish_scan each packet into results[j]. `cursors` is
+  /// null when the packets carry no flow state.
+  void scan_group(const Chain& chain, const BytesView* payloads,
+                  const FlowCursor* cursors, std::size_t n,
+                  ScanResult* results) const;
+
+  /// Walks `bytes` on from byte `done` in `state`: the automaton steps while
+  /// the state is cold (all the way without a kernel), and the single-lane
+  /// kernel resumes each time the state is hot again. Appends match events
+  /// with offsets relative to `bytes`; returns the final state.
+  ac::StateIndex finish_walk(BytesView bytes, std::size_t done,
+                             ac::StateIndex state,
+                             std::vector<ac::Match>& events) const;
 
   /// Throws std::invalid_argument for a chain compile() did not see.
   const Chain& chain_at(ChainId chain) const;
@@ -371,9 +376,9 @@ class Engine {
   std::array<std::uint32_t, kMaxMiddleboxes + 1> mbox_stop_{};
   std::map<ChainId, Chain> chains_;
 
-  std::variant<ac::FullAutomaton, ac::CompressedAutomaton> automaton_;
-  /// Cache-conscious hot-core layout over the full-table automaton; empty
-  /// (unavailable) for the compressed automaton.
+  ac::CompressedAutomaton automaton_;
+  /// u16 cache of the automaton's near-root core; unavailable when
+  /// EngineConfig::hot_kernel is off.
   ac::HotKernel kernel_;
   /// Per accepting state: interested-middlebox bitmap (anchor targets
   /// contribute their owning middlebox too).

@@ -255,7 +255,7 @@ bool DpiController::admit_patterns_locked(const AddPatternsRequest& req,
     predicted_states_.set(
         static_cast<std::int64_t>(report.predicted_states));
     predicted_memory_.set(
-        static_cast<std::int64_t>(report.predicted_memory_full));
+        static_cast<std::int64_t>(report.predicted_resident_memory()));
     if (!report.admissible()) {
       const verify::Diagnostic& first = report.violations.front();
       counter_for_violation(first.code).add();
@@ -345,6 +345,7 @@ bool DpiController::remove_instance(const std::string& name) {
   if (instances_.erase(name) == 0) return false;
   monitor_.forget(name);
   stress_totals_.erase(name);
+  chain_totals_.erase(name);
   last_heartbeat_.erase(name);
   failed_.erase(name);
   for (auto it = assignments_.begin(); it != assignments_.end();) {
@@ -413,12 +414,12 @@ dpi::EngineSpec DpiController::group_spec(const dpi::EngineSpec& full,
 }
 
 std::shared_ptr<const dpi::Engine> DpiController::engine_for(
-    const std::string& group, bool compressed) {
-  const auto key = std::make_pair(group, compressed);
+    const std::string& group, bool dedicated) {
+  const auto key = std::make_pair(group, dedicated);
   auto it = engine_cache_.find(key);
   if (it != engine_cache_.end()) return it->second;
   dpi::EngineConfig config;
-  config.use_compressed_automaton = compressed;
+  config.hot_kernel = !dedicated;
   auto engine = dpi::Engine::compile(group_spec(cached_spec_, group), config);
   engine_cache_.emplace(key, engine);
   return engine;
@@ -621,6 +622,12 @@ void DpiController::collect_telemetry() {
   for (auto& [name, inst] : instances_) {
     if (failed_.count(name)) continue;  // no fresh telemetry from the dead
     report_stress_locked(name, inst->telemetry());
+    auto& chain_totals = chain_totals_[name];
+    if (chain_totals.empty()) chain_totals.emplace_back();
+    chain_totals.push_back(inst->chain_telemetry());
+    while (chain_totals.size() > monitor_.config().smoothing_windows + 1) {
+      chain_totals.pop_front();
+    }
     const auto beat = last_heartbeat_.find(name);
     const std::uint64_t last = beat == last_heartbeat_.end() ? 0 : beat->second;
     if (epoch_ - last >= failover_config_.miss_windows) {
@@ -631,19 +638,28 @@ void DpiController::collect_telemetry() {
   }
 }
 
+namespace {
+
+/// The bytes and hits since `last`, the two counters the stress signal
+/// reads. Totals below `last` (an instance re-created under the same name)
+/// count from zero.
+template <typename Telemetry>
+Telemetry window_since(const Telemetry& last, const Telemetry& totals) {
+  const bool reset =
+      totals.bytes < last.bytes || totals.raw_hits < last.raw_hits;
+  Telemetry window;
+  window.bytes = reset ? totals.bytes : totals.bytes - last.bytes;
+  window.raw_hits = reset ? totals.raw_hits : totals.raw_hits - last.raw_hits;
+  return window;
+}
+
+}  // namespace
+
 void DpiController::report_stress_locked(const std::string& name,
                                         const InstanceTelemetry& totals) {
   InstanceTelemetry& last = stress_totals_[name];
-  InstanceTelemetry window;  // the two counters the monitor reads
-  if (totals.bytes < last.bytes || totals.raw_hits < last.raw_hits) {
-    window.bytes = totals.bytes;
-    window.raw_hits = totals.raw_hits;
-  } else {
-    window.bytes = totals.bytes - last.bytes;
-    window.raw_hits = totals.raw_hits - last.raw_hits;
-  }
+  monitor_.report(name, window_since(last, totals));
   last = totals;
-  monitor_.report(name, window);
 }
 
 MitigationPlan DpiController::evaluate_mitigation() {
@@ -660,13 +676,19 @@ MitigationPlan DpiController::evaluate_mitigation() {
   for (const std::string& name : plan.stressed_instances) {
     auto inst = instance_locked(name);
     if (!inst || inst->config().dedicated) continue;
-    // Divert the chains whose traffic carries the heavy signal (§4.3.1:
-    // "migrates the heavy flows, which are suspected to be malicious").
-    for (const auto& [chain, chain_stats] : inst->chain_telemetry()) {
+    // Divert the chains whose recent traffic carries the heavy signal
+    // (§4.3.1: "migrates the heavy flows, which are suspected to be
+    // malicious"), judged over the windows the monitor averages.
+    const auto& totals = chain_totals_[name];
+    if (totals.empty()) continue;
+    for (const auto& [chain, total] : totals.back()) {
       const auto assigned = instance_for_chain_locked(chain);
       if (!assigned || *assigned != name) continue;
-      if (chain_stats.hits_per_byte() >
-          monitor_.config().hits_per_byte_threshold) {
+      const auto oldest = totals.front().find(chain);
+      const ChainTelemetry recent = window_since(
+          oldest == totals.front().end() ? ChainTelemetry{} : oldest->second,
+          total);
+      if (recent.hits_per_byte() > monitor_.config().hits_per_byte_threshold) {
         plan.migrations.push_back(
             Migration{chain, name, dedicated->instance_name()});
       }

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -158,7 +159,8 @@ class DpiController {
   // --- instances --------------------------------------------------------------
 
   /// Creates (and tracks) an instance; it receives the current engine
-  /// immediately. Dedicated instances get the compressed-automaton engine.
+  /// immediately. Dedicated instances get an engine without the hot kernel
+  /// (the failure-link automaton alone).
   std::shared_ptr<DpiInstance> create_instance(const std::string& name,
                                                InstanceConfig config = {});
 
@@ -299,7 +301,7 @@ class DpiController {
   void sync_instances_locked() DPISVC_REQUIRES(mu_);
   void compile_and_push() DPISVC_REQUIRES(mu_);
   std::shared_ptr<const dpi::Engine> engine_for(const std::string& group,
-                                                bool compressed)
+                                                bool dedicated)
       DPISVC_REQUIRES(mu_);
   dpi::EngineSpec group_spec(const dpi::EngineSpec& full,
                              const std::string& group) const
@@ -371,7 +373,7 @@ class DpiController {
   AdmissionConfig admission_ DPISVC_GUARDED_BY(mu_);
 
   std::uint64_t compiled_version_ DPISVC_GUARDED_BY(mu_) = 0;
-  /// Compiled engines keyed by (group, compressed); "" = all chains.
+  /// Compiled engines keyed by (group, dedicated); "" = all chains.
   std::map<std::pair<std::string, bool>, std::shared_ptr<const dpi::Engine>>
       engine_cache_ DPISVC_GUARDED_BY(mu_);
   dpi::EngineSpec cached_spec_ DPISVC_GUARDED_BY(mu_);
@@ -393,6 +395,13 @@ class DpiController {
   /// Last totals fed to the stress monitor, per instance name.
   std::map<std::string, InstanceTelemetry> stress_totals_
       DPISVC_GUARDED_BY(mu_);
+  /// Per instance name, the per-chain totals of its last smoothing_windows
+  /// + 1 collections (the first one empty). The newest minus the oldest is
+  /// a chain's traffic over the windows the monitor averages, which
+  /// evaluate_mitigation picks chains by.
+  std::map<std::string,
+           std::deque<std::map<dpi::ChainId, ChainTelemetry>>>
+      chain_totals_ DPISVC_GUARDED_BY(mu_);
 
   std::uint64_t epoch_ DPISVC_GUARDED_BY(mu_) = 0;
   std::map<std::string, std::uint64_t> last_heartbeat_ DPISVC_GUARDED_BY(mu_);

@@ -104,7 +104,7 @@ struct InstanceConfig {
   ResultMode result_mode = ResultMode::kDedicatedPacket;
   net::ReportCodec codec = net::ReportCodec::kUniform6;
   /// Dedicated MCA² instance: tuned for heavy/adversarial traffic (the
-  /// controller compiles its engine with the compressed automaton).
+  /// controller compiles its engine without the hot kernel).
   bool dedicated = false;
   /// Decompress-once (§1): gzip/zlib payloads are inflated before the scan
   /// so the heavy decompression runs a single time for all middleboxes on

@@ -10,8 +10,9 @@
 //
 // When an instance's smoothed signal crosses the threshold, the monitor
 // flags it as stressed; the controller then designates dedicated instances
-// (running the compressed-automaton engine) and migrates heavy flows to
-// them (Figure 6).
+// (running the failure-link automaton without the hot kernel) and migrates
+// to them the chains whose own signal, over the same windows, is heavy
+// (Figure 6).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "verify/engine_tables.hpp"
 
 #include <set>
-#include <variant>
 
 #include "regex/anchors.hpp"
 #include "regex/parser.hpp"
@@ -10,8 +9,7 @@ namespace dpisvc::verify {
 
 EngineTables extract_tables(const dpi::Engine& engine) {
   EngineTables tables;
-  tables.automaton_accepting = std::visit(
-      [](const auto& a) { return a.num_accepting(); }, engine.automaton());
+  tables.automaton_accepting = engine.automaton().num_accepting();
   for (ac::StateIndex s = 0; s < engine.num_accepting_states(); ++s) {
     tables.accept_bitmaps.push_back(engine.accept_bitmap(s));
     tables.accept_targets.push_back(engine.accept_targets(s));
@@ -46,6 +44,15 @@ Patterns derive_string_table(const dpi::EngineSpec& spec,
     }
   }
   return {strings.begin(), strings.end()};
+}
+
+ac::FullAutomaton full_table_of(const Patterns& patterns) {
+  ac::Trie trie;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    trie.insert(std::string_view(patterns[i]),
+                static_cast<ac::PatternIndex>(i));
+  }
+  return ac::FullAutomaton::build(trie);
 }
 
 }  // namespace dpisvc::verify

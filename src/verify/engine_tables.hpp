@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "ac/full_automaton.hpp"
 #include "dpi/engine.hpp"
 
 namespace dpisvc::verify {
@@ -47,5 +48,10 @@ EngineTables extract_tables(const dpi::Engine& engine);
 /// expression, exactly like Engine::compile would.
 Patterns derive_string_table(const dpi::EngineSpec& spec,
                              const dpi::EngineConfig& config = {});
+
+/// The paper's full table over `patterns` (pattern index = position): the
+/// reference the verifier proves the engine's automaton and hot kernel
+/// against, and the representation Table 2's "Space" column sizes.
+ac::FullAutomaton full_table_of(const Patterns& patterns);
 
 }  // namespace dpisvc::verify

@@ -412,12 +412,12 @@ std::vector<Diagnostic> check_hot_kernel(const ac::FullAutomaton& full,
              f);
     return out;
   }
-  // hot <-> full id maps must be inverse bijections over the hot set.
+  // hot <-> automaton id maps must be inverse bijections over the hot set.
   for (std::uint32_t h = 0; h < kernel.num_hot_states(); ++h) {
     const ac::StateIndex s =
-        kernel.full_id(static_cast<ac::HotStateIndex>(h));
+        kernel.state_id(static_cast<ac::HotStateIndex>(h));
     if (s >= n || kernel.hot_id(s) != h) {
-      r.report("kernel-id-map", "hot id ", h, " maps to full state ", s,
+      r.report("kernel-id-map", "hot id ", h, " maps to state ", s,
                " which does not map back");
     }
   }
@@ -425,8 +425,8 @@ std::vector<Diagnostic> check_hot_kernel(const ac::FullAutomaton& full,
     const std::uint16_t h = kernel.hot_id(s);
     const bool hot = h != ac::kColdExit;
     if (hot && (h >= kernel.num_hot_states() ||
-                kernel.full_id(static_cast<ac::HotStateIndex>(h)) != s)) {
-      r.report("kernel-id-map", "full state ", s, " maps to hot id ", h,
+                kernel.state_id(static_cast<ac::HotStateIndex>(h)) != s)) {
+      r.report("kernel-id-map", "state ", s, " maps to hot id ", h,
                " which does not map back");
     }
     // The hot set is exactly the states within the advertised depth bound.
@@ -437,7 +437,7 @@ std::vector<Diagnostic> check_hot_kernel(const ac::FullAutomaton& full,
     }
     // Accepting-first renumbering: acceptance must stay `hot id < fa`.
     if (hot && ((h < kernel.num_hot_accepting()) != (s < f))) {
-      r.report("kernel-accepting-order", "full state ", s, " (accepting=",
+      r.report("kernel-accepting-order", "state ", s, " (accepting=",
                s < f, ") renumbered to hot id ", h,
                " across the accepting boundary ", kernel.num_hot_accepting());
     }
@@ -465,7 +465,7 @@ std::vector<Diagnostic> check_hot_kernel(const ac::FullAutomaton& full,
   // byte-equivalence claim the class compression rests on.
   for (std::uint32_t h = 0; h < kernel.num_hot_states(); ++h) {
     const ac::StateIndex s =
-        kernel.full_id(static_cast<ac::HotStateIndex>(h));
+        kernel.state_id(static_cast<ac::HotStateIndex>(h));
     if (s >= n) continue;  // already reported above
     for (unsigned b = 0; b < 256; ++b) {
       const ac::StateIndex target = full.step(s, static_cast<std::uint8_t>(b));
@@ -549,15 +549,14 @@ std::vector<Diagnostic> cross_check_kernel(
     r.report("kernel-not-active",
              "engine has no hot kernel to cross-check");
   }
-  if (!reference.uses_compressed_automaton()) {
-    r.report("reference-not-compressed",
-             "reference engine runs the full table, not the compressed "
-             "automaton");
+  if (reference.kernel_active()) {
+    r.report("reference-has-kernel",
+             "reference engine runs a hot kernel, not the automaton alone");
   }
   if (!out.empty()) return out;
-  // The compressed automaton's scalar loop is the oracle: verify_dfa proves
-  // it against the definition-based automaton oracle, and it shares the
-  // full table's state numbering, so even the cursors' DFA states match.
+  // The automaton's own step() is the oracle: verify_dfa proves it against
+  // the definition-based automaton oracle, and both engines walk the same
+  // automaton, so even the cursors' DFA states match.
   std::size_t max_packets = 0;
 
   // Packet-by-packet differential, cursors resumed independently per engine.
@@ -768,27 +767,12 @@ std::vector<Diagnostic> verify_engine_spec(const dpi::EngineSpec& spec,
   };
 
   const Patterns patterns = derive_string_table(spec, config);
-  const DfaSnapshot engine_snap = std::visit(
-      [](const auto& a) { return snapshot_of(a); }, engine->automaton());
+  const DfaSnapshot engine_snap = snapshot_of(engine->automaton());
+  append(verify_dfa(engine_snap, patterns));
 
-  if (!patterns.empty()) {
-    append(verify_dfa(engine_snap, patterns));
-
-    // Build the *other* representation independently from the same strings
-    // and prove the two encode the identical automaton.
-    ac::Trie trie;
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-      trie.insert(std::string_view(patterns[i]),
-                  static_cast<ac::PatternIndex>(i));
-    }
-    if (engine->uses_compressed_automaton()) {
-      append(check_equivalence(snapshot_of(ac::FullAutomaton::build(trie)),
-                               engine_snap));
-    } else {
-      append(check_equivalence(
-          engine_snap, snapshot_of(ac::CompressedAutomaton::build(trie))));
-    }
-  }
+  // Build the paper's full table independently from the same strings and
+  // prove the two encode the identical automaton.
+  append(check_equivalence(snapshot_of(full_table_of(patterns)), engine_snap));
 
   append(check_engine(*engine));
   return out;

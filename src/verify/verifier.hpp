@@ -76,23 +76,23 @@ std::vector<Diagnostic> check_equivalence(const DfaSnapshot& full,
 // --- batched scan kernel -----------------------------------------------------
 
 /// Proves the batched-kernel layout (ac::HotKernel) encodes exactly the
-/// full table restricted to the hot core: the hot<->full id maps are
+/// full table restricted to the hot core: the hot<->automaton id maps are
 /// inverse bijections, the hot set is depth-closed, accepting-first
 /// renumbering is preserved, and — for every hot state and every one of the
 /// 256 input bytes — the class-compressed table entry equals the full
-/// transition (which simultaneously proves the byte-equivalence classes
-/// sound). Codes: "kernel-unavailable", "kernel-shape", "kernel-id-map",
-/// "kernel-depth-closure", "kernel-accepting-order", "kernel-start-cold",
-/// "kernel-complete-flag", "kernel-class-range",
-/// "kernel-transition-divergence".
+/// transition (which simultaneously proves the byte classes sound). `full`
+/// is the reference built from the same trie as the engine's automaton,
+/// which numbers its states the same way. Codes: "kernel-unavailable",
+/// "kernel-shape", "kernel-id-map", "kernel-depth-closure",
+/// "kernel-accepting-order", "kernel-start-cold", "kernel-complete-flag",
+/// "kernel-class-range", "kernel-transition-divergence".
 std::vector<Diagnostic> check_hot_kernel(const ac::FullAutomaton& full,
                                          const ac::HotKernel& kernel);
 
 /// Differential cross-check of the hot kernel's walk. `engine` runs the
-/// kernel (a full-table engine); `reference` is the same spec compiled with
-/// use_compressed_automaton = true. The compressed automaton numbers its
-/// states like the full table (check_equivalence) and never has a kernel,
-/// so its scalar loop is the oracle. Every flow's packet sequence is scanned
+/// kernel; `reference` is the same spec compiled with hot_kernel = false,
+/// so it walks the same automaton with CompressedAutomaton::step alone, and
+/// that walk is the oracle. Every flow's packet sequence is scanned
 /// packet-by-packet through both engines (cursors resumed independently),
 /// and the flows are additionally advanced in lockstep through the
 /// engine's scan_batch; every ScanResult is compared field by field —
@@ -100,9 +100,8 @@ std::vector<Diagnostic> check_hot_kernel(const ac::FullAutomaton& full,
 /// resumed FlowCursor (DFA state, flow offset, anchor bits, regex window).
 /// The per-transition layout proof above makes table divergence
 /// impossible; this check covers the walk itself (stride boundaries,
-/// interleave scheduling, cold-exit continuation, event ordering). Codes:
-/// "kernel-not-active", "reference-not-compressed" (a spec with no strings
-/// compiles a full-table placeholder even when compressed is asked for),
+/// interleave scheduling, cold exits and kernel re-entry, event ordering).
+/// Codes: "kernel-not-active", "reference-has-kernel",
 /// "kernel-scan-divergence", "kernel-batch-divergence".
 std::vector<Diagnostic> cross_check_kernel(
     const dpi::Engine& engine, const dpi::Engine& reference,
@@ -134,9 +133,9 @@ std::vector<Diagnostic> verify_dfa(const DfaSnapshot& snap,
 
 /// Full verification of an engine spec: compiles the engine with `config`,
 /// re-derives the distinct-string table (exact patterns plus regex anchors)
-/// independently, runs all DFA checks on the engine's actual automaton,
-/// builds the *other* automaton representation from the same strings and
-/// proves the two equivalent, then runs the engine-level checks.
+/// independently, runs all DFA checks on the engine's automaton, builds the
+/// paper's full table from the same strings and proves the two equivalent,
+/// then runs the engine-level checks.
 std::vector<Diagnostic> verify_engine_spec(const dpi::EngineSpec& spec,
                                            const dpi::EngineConfig& config = {});
 

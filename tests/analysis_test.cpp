@@ -14,6 +14,7 @@
 #include "analysis/cost_model.hpp"
 #include "dpi/engine.hpp"
 #include "regex/program.hpp"
+#include "verify/engine_tables.hpp"
 #include "workload/pattern_gen.hpp"
 
 namespace dpisvc {
@@ -381,11 +382,17 @@ void expect_calibrated(const dpi::EngineSpec& spec,
   }
   EXPECT_EQ(report.predicted_target_entries, target_entries);
   // Memory is modeled from the same element sizes the artifacts use, so it
-  // too must be exact (kMemoryCalibrationFactor == 1.0 documents this).
-  const std::size_t predicted = config.use_compressed_automaton
-                                    ? report.predicted_memory_compressed
-                                    : report.predicted_memory_full;
-  EXPECT_EQ(predicted, engine->memory_bytes());
+  // too must be exact (kMemoryCalibrationFactor == 1.0 documents this):
+  // the engine, its hot kernel when it has one, and the paper's full table
+  // in place of the engine's automaton.
+  EXPECT_EQ(report.predicted_memory_compressed, engine->memory_bytes());
+  EXPECT_EQ(config.hot_kernel ? report.predicted_kernel_memory : 0,
+            engine->kernel_memory_bytes());
+  const ac::FullAutomaton full =
+      verify::full_table_of(verify::derive_string_table(spec, config));
+  EXPECT_EQ(report.predicted_memory_full,
+            engine->memory_bytes() - engine->automaton().memory_bytes() +
+                full.memory_bytes());
 }
 
 TEST(CalibrationTest, SnortClamavSeedWorkloadFullTable) {
@@ -394,11 +401,11 @@ TEST(CalibrationTest, SnortClamavSeedWorkloadFullTable) {
 
 TEST(CalibrationTest, SnortClamavSeedWorkloadCompressed) {
   dpi::EngineConfig config;
-  config.use_compressed_automaton = true;
+  config.hot_kernel = false;
   expect_calibrated(seed_spec(600, 400, 24), config);
 }
 
-TEST(CalibrationTest, RegexOnlySpecUsesPlaceholderModel) {
+TEST(CalibrationTest, RegexOnlySpecUsesOneStateModel) {
   dpi::EngineSpec spec;
   spec.middleboxes.push_back({1, "rx", false, true, dpi::kNoStopCondition});
   spec.regex_patterns.push_back({"[0-9]{1,3}", 1, 1, false});  // anchorless
@@ -409,6 +416,29 @@ TEST(CalibrationTest, EmptySpec) {
   dpi::EngineSpec spec;
   spec.middleboxes.push_back({1, "idle", false, true, dpi::kNoStopCondition});
   expect_calibrated(spec, dpi::EngineConfig{});
+}
+
+/// More states than the hot core's u16 ids can hold: the kernel prediction
+/// must cut the core at the same depth bound and count only its labels.
+TEST(CalibrationTest, SeedWorkloadBeyondTheHotCore) {
+  const dpi::EngineSpec spec = seed_spec(0, 5500, 0);
+  ASSERT_GT(analyze(spec).predicted_states, ac::kMaxHotStates);
+  expect_calibrated(spec, dpi::EngineConfig{});
+}
+
+TEST(CalibrationTest, MemoryBudgetCoversTheHotKernel) {
+  // The budget applies to the regular engine's resident bytes, whichever
+  // engine the config names: one the dedicated engine fits but the kernel
+  // on top does not must reject.
+  const dpi::EngineSpec spec = seed_spec(300, 200, 4);
+  const PatternSetReport report = analyze(spec);
+  AnalysisOptions options;
+  options.engine.hot_kernel = false;
+  options.budget.max_memory_bytes = report.predicted_resident_memory();
+  EXPECT_TRUE(analyze(spec, options).admissible());
+  options.budget.max_memory_bytes = report.predicted_memory_compressed;
+  EXPECT_TRUE(
+      has_code(analyze(spec, options).violations, "memory-over-budget"));
 }
 
 TEST(CalibrationTest, BlowupSetRejectedBeforeCompile) {

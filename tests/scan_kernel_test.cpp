@@ -2,25 +2,27 @@
 //
 // The kernel (ac/hot_kernel.hpp) must be invisible in results: every walk —
 // single-lane, interleaved, resumed mid-stride, clamped by a stop offset,
-// continued scalar after a cold exit — ends exactly where the scalar loop
-// would have. At engine level the oracle is the same spec compiled with the
-// compressed automaton, which numbers its states like the full table and
-// never runs a kernel. The tests here check that five ways:
+// stepped through the automaton after a cold exit and re-entering the core —
+// ends exactly where the automaton alone would have. The kernel is built
+// from the failure-link automaton; the raw-walk oracle is the paper's full
+// table built from the same trie, and at engine level the oracle is the
+// same spec compiled with hot_kernel = false, which walks the automaton
+// alone. The tests here check that five ways:
 //   1. raw-walk differential: HotKernel::scan / scan_interleaved against
 //      FullAutomaton::scan, including a deliberately truncated (incomplete)
-//      core whose cold exits force the scalar continuation;
+//      core whose cold exits force the automaton steps;
 //   2. engine differential over adversarial reassembly streams: the
 //      policy-normalized bytes of evasion traces (overlap conflicts,
 //      retransmit storms, shuffles, sequence wraparound) scanned packet-by-
 //      packet with carried cursors through the kernel engine and its
-//      compressed reference;
+//      kernel-less reference;
 //   3. boundary pins: stateful resume at non-stride offsets, stop-offset
 //      clamps at the boundary byte, interleaved batch == sequential scans;
 //   4. the verify layer: check_hot_kernel proves the layout, and
 //      cross_check_kernel comes back clean on a live engine (and reports
-//      kernel-not-active on a compressed one);
-//   5. the engine's cold-exit continuation, on a rule set too large for the
-//      hot core.
+//      kernel-not-active on one without a kernel);
+//   5. the engine's walk through cold stretches and back into the core, on
+//      a rule set too large for the hot core.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,10 +30,12 @@
 #include <tuple>
 #include <vector>
 
+#include "ac/compressed_automaton.hpp"
 #include "ac/full_automaton.hpp"
 #include "ac/hot_kernel.hpp"
 #include "ac/trie.hpp"
 #include "dpi/engine.hpp"
+#include "verify/engine_tables.hpp"
 #include "verify/verifier.hpp"
 #include "workload/adversarial_gen.hpp"
 #include "workload/pattern_gen.hpp"
@@ -65,14 +69,23 @@ void expect_same_result(const dpi::ScanResult& ref, const dpi::ScanResult& got,
   EXPECT_EQ(ref.cursor.offset, got.cursor.offset) << where;
 }
 
-ac::FullAutomaton dense_automaton() {
+/// The dense set's failure-link automaton, which the kernel caches, and
+/// the paper's full table as the oracle; one trie builds both, so their
+/// state ids agree.
+struct DenseAutomata {
+  ac::CompressedAutomaton automaton;
+  ac::FullAutomaton full;
+};
+
+DenseAutomata dense_automata() {
   ac::Trie trie;
   trie.insert("ab", 0);
   trie.insert("abab", 1);
   trie.insert("babba", 2);
   trie.insert("aaaa", 3);
   trie.insert("cabbage", 4);
-  return ac::FullAutomaton::build(trie);
+  return DenseAutomata{ac::CompressedAutomaton::build(trie),
+                       ac::FullAutomaton::build(trie)};
 }
 
 /// Deterministic a/b/c-heavy stream with frequent pattern hits.
@@ -115,8 +128,8 @@ bool same_events(const std::vector<ac::Match>& a,
 // --- raw kernel walks --------------------------------------------------------
 
 TEST(HotKernelTest, CompleteCoreScanMatchesScalarWalk) {
-  const ac::FullAutomaton full = dense_automaton();
-  const ac::HotKernel kernel = ac::HotKernel::build(full);
+  const auto [automaton, full] = dense_automata();
+  const ac::HotKernel kernel = ac::HotKernel::build(automaton);
   ASSERT_TRUE(kernel.available());
   ASSERT_TRUE(kernel.complete());
 
@@ -139,10 +152,11 @@ TEST(HotKernelTest, CompleteCoreScanMatchesScalarWalk) {
 }
 
 TEST(HotKernelTest, TruncatedCoreColdExitsResumeScalar) {
-  const ac::FullAutomaton full = dense_automaton();
+  const auto [automaton, full] = dense_automata();
   // Cap the core below the full state count: deeper states become cold and
   // the kernel must stop at (not consume) the byte that leaves the core.
-  const ac::HotKernel kernel = ac::HotKernel::build(full, full.num_states() - 3);
+  const ac::HotKernel kernel =
+      ac::HotKernel::build(automaton, full.num_states() - 3);
   ASSERT_TRUE(kernel.available());
   ASSERT_FALSE(kernel.complete());
   ASSERT_LT(kernel.num_hot_states(), full.num_states());
@@ -185,8 +199,8 @@ TEST(HotKernelTest, TruncatedCoreColdExitsResumeScalar) {
 }
 
 TEST(HotKernelTest, InterleavedLanesEqualSingleLaneScans) {
-  const ac::FullAutomaton full = dense_automaton();
-  const ac::HotKernel kernel = ac::HotKernel::build(full);
+  const auto [automaton, full] = dense_automata();
+  const ac::HotKernel kernel = ac::HotKernel::build(automaton);
   ASSERT_TRUE(kernel.available());
 
   // Mixed lengths (empty, tail-only, stride-aligned, long) at full width:
@@ -224,8 +238,7 @@ TEST(HotKernelTest, InterleavedLanesEqualSingleLaneScans) {
 
 // --- engine differential -----------------------------------------------------
 
-std::shared_ptr<const dpi::Engine> kernel_engine(bool with_stop = false,
-                                                 bool compressed = false) {
+dpi::EngineSpec kernel_spec(bool with_stop = false) {
   dpi::EngineSpec spec;
   dpi::MiddleboxProfile ids;
   ids.id = 1;
@@ -248,14 +261,19 @@ std::shared_ptr<const dpi::Engine> kernel_engine(bool with_stop = false,
   };
   spec.chains[1] = {1, 2};
   spec.chains[2] = {2};
-  dpi::EngineConfig config;
-  config.use_compressed_automaton = compressed;
-  return dpi::Engine::compile(spec, config);
+  return spec;
 }
 
-/// The same spec on the compressed automaton: the scalar reference.
+std::shared_ptr<const dpi::Engine> kernel_engine(bool with_stop = false,
+                                                 bool hot_kernel = true) {
+  dpi::EngineConfig config;
+  config.hot_kernel = hot_kernel;
+  return dpi::Engine::compile(kernel_spec(with_stop), config);
+}
+
+/// The same spec without the kernel: the automaton-only reference.
 std::shared_ptr<const dpi::Engine> reference_engine(bool with_stop = false) {
-  return kernel_engine(with_stop, /*compressed=*/true);
+  return kernel_engine(with_stop, /*hot_kernel=*/false);
 }
 
 TEST(ScanKernelEngineTest, StatefulResumeAtNonStrideOffsets) {
@@ -403,11 +421,11 @@ TEST(ScanKernelEngineTest, InterleavedBatchEqualsSequentialScans) {
 
 TEST(ScanKernelVerifyTest, LayoutProofAndCrossCheckComeBackClean) {
   const auto engine = kernel_engine();
-  const auto* full = std::get_if<ac::FullAutomaton>(&engine->automaton());
-  ASSERT_NE(full, nullptr);
+  const ac::FullAutomaton full =
+      verify::full_table_of(verify::derive_string_table(kernel_spec()));
   ASSERT_NE(engine->hot_kernel(), nullptr);
 
-  const auto layout = verify::check_hot_kernel(*full, *engine->hot_kernel());
+  const auto layout = verify::check_hot_kernel(full, *engine->hot_kernel());
   EXPECT_TRUE(layout.empty()) << (layout.empty() ? "" : layout[0].code + ": " +
                                                             layout[0].message);
 
@@ -434,7 +452,7 @@ TEST(ScanKernelVerifyTest, CrossCheckReportsScalarPinnedEngine) {
   spec.exact_patterns = {dpi::ExactPatternSpec{"ab", 1, 0}};
   spec.chains[1] = {1};
   dpi::EngineConfig config;
-  config.use_compressed_automaton = true;
+  config.hot_kernel = false;
   const auto engine = dpi::Engine::compile(spec, config);
   EXPECT_FALSE(engine->kernel_active());
 
@@ -444,9 +462,9 @@ TEST(ScanKernelVerifyTest, CrossCheckReportsScalarPinnedEngine) {
 }
 
 TEST(ScanKernelVerifyTest, LayoutProofFlagsTruncatedCoreAsIncomplete) {
-  const ac::FullAutomaton full = dense_automaton();
+  const auto [automaton, full] = dense_automata();
   const ac::HotKernel kernel =
-      ac::HotKernel::build(full, full.num_states() - 3);
+      ac::HotKernel::build(automaton, full.num_states() - 3);
   ASSERT_TRUE(kernel.available());
   ASSERT_FALSE(kernel.complete());
   // A correctly-built truncated core still passes the layout proof — the
@@ -459,8 +477,9 @@ TEST(ScanKernelVerifyTest, LayoutProofFlagsTruncatedCoreAsIncomplete) {
 // --- cold-exit continuation --------------------------------------------------
 
 /// 5,500 ClamAV-like signatures compile to ~74k states, more than the hot
-/// core's 16-bit ids can hold, so the core stops at a depth bound and walks
-/// that go deeper finish on the full table's scalar loop.
+/// core's 16-bit ids can hold, so the core stops at a depth bound: walks
+/// that go deeper step the automaton until the state is hot again, then
+/// re-enter the kernel.
 TEST(ScanKernelColdExitTest, ContinuationMatchesCompressedReference) {
   const auto patterns =
       workload::generate_patterns(workload::clamav_like(5500, 23));
@@ -480,14 +499,22 @@ TEST(ScanKernelColdExitTest, ContinuationMatchesCompressedReference) {
   }
   spec.chains[1] = {1, 2};  // stateful: deep states carry across packets
   spec.chains[2] = {1};     // stateless: every packet starts at the root
-  dpi::EngineConfig compressed;
-  compressed.use_compressed_automaton = true;
+  dpi::EngineConfig no_kernel;
+  no_kernel.hot_kernel = false;
   const auto engine = dpi::Engine::compile(spec);
-  const auto reference = dpi::Engine::compile(spec, compressed);
+  const auto reference = dpi::Engine::compile(spec, no_kernel);
   ASSERT_NE(engine->hot_kernel(), nullptr);
   // The test exists for the continuation: a generator change that let the
   // core hold every state would leave it nothing to check.
   ASSERT_FALSE(engine->hot_kernel()->complete());
+  const ac::HotKernel& kernel = *engine->hot_kernel();
+  const ac::CompressedAutomaton& automaton = engine->automaton();
+
+  // The incomplete core still encodes the paper's full table exactly.
+  const auto layout = verify::check_hot_kernel(
+      verify::full_table_of(verify::derive_string_table(spec)), kernel);
+  EXPECT_TRUE(layout.empty()) << (layout.empty() ? "" : layout[0].code + ": " +
+                                                            layout[0].message);
 
   // Eight flows of the set's patterns behind one filler byte, cut into
   // packets of 1..23 bytes (a cycle, phase-shifted per flow): patterns
@@ -508,6 +535,47 @@ TEST(ScanKernelColdExitTest, ContinuationMatchesCompressedReference) {
                                 static_cast<std::ptrdiff_t>(pos + len));
     }
   }
+
+  // Patterns deeper than the core, and short ones it holds whole.
+  std::vector<std::string> deep;
+  std::vector<std::string> shallow;
+  for (const std::string& p : patterns) {
+    (p.size() > kernel.hot_depth() + 1 ? deep : shallow).push_back(p);
+  }
+  ASSERT_GE(deep.size(), 6u);
+  ASSERT_GE(shallow.size(), 5u);
+  const auto append = [](Bytes& out, const std::string& text) {
+    out.insert(out.end(), text.begin(), text.end());
+  };
+
+  // One packet that leaves the core and re-enters it four times: each deep
+  // pattern goes cold, the filler byte brings the walk back into the core,
+  // and the short pattern after it matches on the re-entered kernel pass.
+  Bytes reentry;
+  for (std::size_t i = 0; i < 4; ++i) {
+    append(reentry, "=" + deep[i] + "=" + shallow[i]);
+  }
+  std::size_t reentries = 0;
+  ac::StateIndex state = automaton.start_state();
+  for (const std::uint8_t byte : reentry) {
+    const bool was_hot = kernel.is_hot(state);
+    state = automaton.step(state, byte);
+    reentries += !was_hot && kernel.is_hot(state) ? 1 : 0;
+  }
+  EXPECT_GE(reentries, 2u);
+  flows.push_back({reentry});
+
+  // A stateful flow whose first packet stops deep inside a pattern, so the
+  // cursor holds a cold state and the next packet starts cold.
+  Bytes head;
+  append(head, "=" + deep[4].substr(0, kernel.hot_depth() + 1));
+  Bytes tail;
+  append(tail, deep[4].substr(kernel.hot_depth() + 1) + "=" + shallow[4] +
+                   "=" + deep[5]);
+  const auto first = engine->scan_packet(1, BytesView(head));
+  ASSERT_TRUE(first.cursor.valid);
+  EXPECT_FALSE(kernel.is_hot(first.cursor.dfa_state));
+  flows.push_back({head, tail});
 
   for (const dpi::ChainId chain : {dpi::ChainId{1}, dpi::ChainId{2}}) {
     std::size_t matches = 0;

@@ -120,8 +120,8 @@ TEST(Controller, DedicatedInstanceGetsCompressedEngine) {
   auto special = controller.create_instance("ded", dedicated);
   ASSERT_TRUE(regular->has_engine());
   ASSERT_TRUE(special->has_engine());
-  EXPECT_FALSE(regular->engine()->uses_compressed_automaton());
-  EXPECT_TRUE(special->engine()->uses_compressed_automaton());
+  EXPECT_TRUE(regular->engine()->kernel_active());
+  EXPECT_FALSE(special->engine()->kernel_active());
   EXPECT_EQ(regular->engine_version(), special->engine_version());
 }
 
@@ -303,6 +303,42 @@ TEST_F(Mca2Test, PushedTotalsAreDifferencedIntoWindows) {
   push(4000, 4000);  // windows: 100,000 / 0, then 4,000 / 4,000
   EXPECT_DOUBLE_EQ(controller_->stress_monitor().smoothed_signal("remote"),
                    4000.0 / 104000.0);
+}
+
+TEST_F(Mca2Test, ChainsArePickedByTheirRecentWindows) {
+  // Chain 1 carried the attack once and has been benign since; a second
+  // chain on the same instance turned heavy. The monitor averages two
+  // windows, so only the second chain's recent traffic is heavy.
+  controller_->handle_message(register_msg(2, "av"));
+  controller_->handle_message(add_exact_msg(2, 0, "attacksig"));
+  const dpi::ChainId second = controller_->register_policy_chain({2});
+  ASSERT_NE(second, chain_);
+  controller_->assign_chain(second, "regular");
+  std::string attack;
+  for (int i = 0; i < 20; ++i) attack += "attacksig";
+  const std::string benign =
+      "plenty of ordinary web content with no signatures whatsoever, just "
+      "text flowing....";
+  const auto window = [&](const std::string& first,
+                          const std::string& then) {
+    pump_traffic(*regular_, first, 50);
+    for (int i = 0; i < 50; ++i) {
+      regular_->scan(second, flow(static_cast<std::uint16_t>(i % 8)),
+                     view(then));
+    }
+    controller_->heartbeat("regular");
+    controller_->heartbeat("dedicated");
+    controller_->collect_telemetry();
+  };
+  window(attack, benign);
+  window(benign, attack);
+  window(benign, attack);
+  ASSERT_TRUE(controller_->stress_monitor().is_stressed("regular"));
+
+  const MitigationPlan plan = controller_->evaluate_mitigation();
+  ASSERT_EQ(plan.migrations.size(), 1u);
+  EXPECT_EQ(plan.migrations[0].chain, second);
+  EXPECT_EQ(plan.migrations[0].to_instance, "dedicated");
 }
 
 TEST(StressMonitor, SmoothingAndThresholds) {

@@ -266,7 +266,7 @@ TEST(Verifier, EngineSpecWithRegexesVerifies) {
 
   for (const bool compressed : {false, true}) {
     dpi::EngineConfig config;
-    config.use_compressed_automaton = compressed;
+    config.hot_kernel = !compressed;
     const auto diagnostics = verify::verify_engine_spec(spec, config);
     EXPECT_TRUE(diagnostics.empty()) << codes_of(diagnostics);
   }

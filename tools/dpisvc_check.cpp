@@ -3,12 +3,13 @@
 //   dpisvc_check --patterns FILE [--regex EXPR]... [--max-patterns N]
 //   dpisvc_check --builtin
 //
-// Loads (or generates) pattern sets, compiles the combined engine in BOTH
-// representations (full-table and compressed), and proves the §5 structural
-// invariants against a definition-based oracle: dense accepting-state
-// renumbering, suffix-pattern propagation, sorted/deduped match rows,
-// acyclic depth-decreasing failure links, exact full/compressed equivalence,
-// accepting-state bitmap consistency, and controller ref-count consistency.
+// Loads (or generates) pattern sets, compiles the combined engine, and
+// proves the §5 structural invariants against a definition-based oracle:
+// dense accepting-state renumbering, suffix-pattern propagation,
+// sorted/deduped match rows, acyclic depth-decreasing failure links, exact
+// equivalence of the engine's failure-link automaton and the paper's full
+// table, accepting-state bitmap consistency, and controller ref-count
+// consistency.
 //
 // Exit status: 0 all invariants hold, 1 violations found (each printed as
 // `FAIL <code>: <detail>`), 2 usage error. CI runs `--builtin` plus the
@@ -38,7 +39,7 @@ struct Options {
   bool builtin = false;
   bool json = false;  ///< machine-readable report on stdout (CI consumption)
   /// Run the hot-kernel checks (layout proof + differential against the
-  /// compressed automaton over adversarial traces) instead of the
+  /// automaton walked alone, over adversarial traces) instead of the
   /// structural invariants.
   bool kernel_xcheck = false;
 };
@@ -83,11 +84,9 @@ SuiteResult run_suite(const std::string& name,
   auto append = [&diagnostics](std::vector<verify::Diagnostic> more) {
     diagnostics.insert(diagnostics.end(), more.begin(), more.end());
   };
-  dpi::EngineConfig full;
-  append(verify::verify_engine_spec(spec, full));
-  dpi::EngineConfig compressed;
-  compressed.use_compressed_automaton = true;
-  append(verify::verify_engine_spec(spec, compressed));
+  // Regular and dedicated engines hold the same automaton and tables; the
+  // kernel has its own proof (--kernel-xcheck).
+  append(verify::verify_engine_spec(spec));
 
   dpi::PatternDb db;
   tools::populate_db(db, spec);
@@ -200,13 +199,13 @@ std::vector<std::vector<Bytes>> kernel_xcheck_flows(
 }
 
 /// Kernel verification of one suite: compiles the spec twice, as the
-/// full-table engine that runs the hot kernel and as its compressed
-/// reference, proves the hot-core layout against the full table, then runs
-/// the reference differential over the adversarial flows on both builtin
-/// chains (1 = stateless+stateful mix, 2 = stateful only). With
-/// `needs_cold_exits` the suite also fails when the hot core holds the whole
-/// automaton, since it exists to cover the scalar continuation after a cold
-/// exit.
+/// regular engine that runs the hot kernel and as its kernel-less
+/// reference, proves the hot-core layout against the paper's full table
+/// built from the same strings, then runs the reference differential over
+/// the adversarial flows on both builtin chains (1 = stateless+stateful mix,
+/// 2 = stateful only). With `needs_cold_exits` the suite also fails when the
+/// hot core holds the whole automaton, since it exists to cover the walk's
+/// cold stretches and kernel re-entry.
 SuiteResult run_kernel_suite(const std::string& name,
                              const std::vector<std::string>& patterns,
                              const std::vector<std::string>& regexes,
@@ -219,24 +218,24 @@ SuiteResult run_kernel_suite(const std::string& name,
   };
   std::shared_ptr<const dpi::Engine> engine;
   std::shared_ptr<const dpi::Engine> reference;
-  dpi::EngineConfig compressed;
-  compressed.use_compressed_automaton = true;
+  dpi::EngineConfig no_kernel;
+  no_kernel.hot_kernel = false;
   try {
     engine = dpi::Engine::compile(spec);
-    reference = dpi::Engine::compile(spec, compressed);
+    reference = dpi::Engine::compile(spec, no_kernel);
   } catch (const std::exception& e) {
     diagnostics.push_back(verify::Diagnostic{"compile-error", e.what()});
   }
   if (engine != nullptr && reference != nullptr) {
-    const auto* full = std::get_if<ac::FullAutomaton>(&engine->automaton());
-    const ac::HotKernel* kernel = engine->hot_kernel();
-    if (full != nullptr && kernel != nullptr) {
-      append(verify::check_hot_kernel(*full, *kernel));
+    if (const ac::HotKernel* kernel = engine->hot_kernel()) {
+      append(verify::check_hot_kernel(
+          verify::full_table_of(verify::derive_string_table(spec)), *kernel));
       if (needs_cold_exits && kernel->complete()) {
         diagnostics.push_back(verify::Diagnostic{
             "kernel-core-complete",
-            "hot core holds all " + std::to_string(full->num_states()) +
-                " states, so no walk reaches the cold-exit continuation"});
+            "hot core holds all " +
+                std::to_string(engine->num_automaton_states()) +
+                " states, so no walk leaves it"});
       }
     }
     const auto flows = kernel_xcheck_flows(patterns);
@@ -271,7 +270,7 @@ void cmd_builtin(std::vector<SuiteResult>& results, bool kernel_xcheck,
   }
   if (kernel_xcheck) {
     // Too many states for the hot core: walks that go deeper than its depth
-    // bound leave it and finish on the scalar continuation.
+    // bound leave it, step the automaton and re-enter the kernel.
     results.push_back(run_kernel_suite(
         "builtin:clamav-cold",
         workload::generate_patterns(workload::clamav_like(5500, 23)), {},
@@ -289,7 +288,7 @@ void usage() {
                      handcrafted suffix-heavy suite
   --kernel-xcheck    instead of the structural invariants, prove the hot
                      scan kernel: hot-core layout vs the full table, and a
-                     differential against the compressed automaton over
+                     differential against the automaton walked alone over
                      adversarial evasion traces (match sets, counters,
                      resumed cursors); with --builtin, one more suite is too
                      large for the hot core and must leave it

@@ -92,7 +92,7 @@ std::shared_ptr<const dpi::Engine> compile_engine(
   }
   spec.chains[1] = {1};
   dpi::EngineConfig config;
-  config.use_compressed_automaton = compressed;
+  config.hot_kernel = !compressed;  // --compressed: a dedicated engine
   return dpi::Engine::compile(spec, config);
 }
 
@@ -140,10 +140,12 @@ int cmd_inspect(const Args& args) {
   std::printf("patterns:          %zu\n", patterns.size());
   std::printf("distinct strings:  %zu\n", engine->num_distinct_strings());
   std::printf("automaton:         %s\n",
-              engine->uses_compressed_automaton() ? "compressed (failure-link)"
-                                                  : "full-table");
+              engine->kernel_active() ? "failure-link + hot kernel"
+                                      : "failure-link (no kernel)");
   std::printf("states:            %u\n", engine->num_automaton_states());
-  std::printf("memory:            %.2f MB\n", engine->memory_bytes() / 1e6);
+  std::printf("memory:            %.2f MB + %.2f MB kernel\n",
+              engine->memory_bytes() / 1e6,
+              engine->kernel_memory_bytes() / 1e6);
   std::printf("build time:        %.2f s\n", build.elapsed_seconds());
   return 0;
 }

@@ -5,17 +5,19 @@
 //
 // Runs the src/analysis cost model over pattern sets WITHOUT compiling them:
 // predicts the combined engine's automaton states, accepting states, match
-// rows and memory in both representations, per-regex Pike-VM program size
-// and bounded subset-construction DFA estimates, and judges everything
-// against the same AnalysisBudget the controller's admission control
-// enforces at registration time. This is the offline half of the admission
-// story: a tenant can lint a candidate pattern set against the service
-// budget before submitting it.
+// rows, the bytes of the engine and its hot kernel and the size of the
+// paper's full table, per-regex Pike-VM program size and bounded
+// subset-construction DFA estimates, and judges everything against the same
+// AnalysisBudget the controller's admission control enforces at
+// registration time. This is the offline half of the admission story: a
+// tenant can lint a candidate pattern set against the service budget before
+// submitting it.
 //
-// --calibrate additionally compiles each admissible suite in BOTH automaton
-// representations and cross-checks every prediction against the real
-// engine; any divergence is a "calibration-divergence" diagnostic (the cost
-// model is exact, so CI treats divergence as a bug, not noise).
+// --calibrate additionally compiles each admissible suite as a regular and
+// a dedicated engine, builds the paper's full table from the same strings,
+// and cross-checks every prediction against them; any divergence is a
+// "calibration-divergence" diagnostic (the cost model is exact, so CI
+// treats divergence as a bug, not noise).
 //
 // Exit status: 0 all suites admissible (and calibrated when requested),
 // 1 violations or calibration divergence found, 2 usage error.
@@ -40,7 +42,6 @@ struct Options {
   bool builtin = false;
   bool json = false;
   bool calibrate = false;
-  bool compressed = false;  ///< budget the compressed representation
   analysis::AnalysisBudget budget;
 };
 
@@ -59,15 +60,16 @@ struct SuiteResult {
   }
 };
 
-/// Compiles the spec in one representation and diffs every prediction the
-/// analyzer makes against the real engine. The cost model is exact
-/// (analysis::kMemoryCalibrationFactor == 1), so any difference is a defect.
-void calibrate_one(const dpi::EngineSpec& spec, bool compressed,
+/// Compiles the spec as a regular (`hot_kernel`) or dedicated engine and
+/// diffs every prediction the analyzer makes against it. The cost model is
+/// exact (analysis::kMemoryCalibrationFactor == 1), so any difference is a
+/// defect.
+void calibrate_one(const dpi::EngineSpec& spec, bool hot_kernel,
                    const analysis::PatternSetReport& report,
                    std::vector<verify::Diagnostic>& out) {
   dpi::EngineConfig config;
-  config.use_compressed_automaton = compressed;
-  const char* mode = compressed ? "compressed" : "full";
+  config.hot_kernel = hot_kernel;
+  const char* mode = hot_kernel ? "regular" : "dedicated";
   std::shared_ptr<const dpi::Engine> engine;
   try {
     engine = dpi::Engine::compile(spec, config);
@@ -94,10 +96,19 @@ void calibrate_one(const dpi::EngineSpec& spec, bool compressed,
         engine->num_accepting_states());
   check("distinct-strings", report.distinct_strings,
         engine->num_distinct_strings());
-  check("memory-bytes",
-        compressed ? report.predicted_memory_compressed
-                   : report.predicted_memory_full,
+  check("memory-bytes", report.predicted_memory_compressed,
         engine->memory_bytes());
+  check("kernel-memory-bytes", hot_kernel ? report.predicted_kernel_memory : 0,
+        engine->kernel_memory_bytes());
+  if (hot_kernel) {
+    // The paper's full table in place of the engine's automaton, with the
+    // same match, bitmap and regex tables.
+    const std::size_t full =
+        verify::full_table_of(verify::derive_string_table(spec))
+            .memory_bytes();
+    check("full-table-memory-bytes", report.predicted_memory_full,
+          engine->memory_bytes() - engine->automaton().memory_bytes() + full);
+  }
 }
 
 SuiteResult run_suite(const std::string& name,
@@ -109,7 +120,6 @@ SuiteResult run_suite(const std::string& name,
 
   analysis::AnalysisOptions options;
   options.budget = opt.budget;
-  options.engine.use_compressed_automaton = opt.compressed;
 
   SuiteResult result;
   result.name = name;
@@ -117,9 +127,9 @@ SuiteResult run_suite(const std::string& name,
   result.regexes = regexes.size();
   result.report = analysis::analyze(spec, options);
   if (opt.calibrate && result.report.admissible()) {
-    calibrate_one(spec, /*compressed=*/false, result.report,
+    calibrate_one(spec, /*hot_kernel=*/true, result.report,
                   result.calibration);
-    calibrate_one(spec, /*compressed=*/true, result.report,
+    calibrate_one(spec, /*hot_kernel=*/false, result.report,
                   result.calibration);
   }
   result.seconds = watch.elapsed_seconds();
@@ -140,10 +150,10 @@ SuiteResult run_suite(const std::string& name,
     const auto& r = result.report;
     std::printf(
         "%-24s %4zu patterns %2zu regexes -> %zu states, %zu accepting, "
-        "%zu/%zu bytes (full/compressed): %s (%.2f s)\n",
+        "%zu/%zu/%zu bytes (resident/dedicated/full table): %s (%.2f s)\n",
         name.c_str(), patterns.size(), regexes.size(), r.predicted_states,
-        r.predicted_accepting, r.predicted_memory_full,
-        r.predicted_memory_compressed,
+        r.predicted_accepting, r.predicted_resident_memory(),
+        r.predicted_memory_compressed, r.predicted_memory_full,
         result.ok() ? (opt.calibrate ? "OK (calibrated)" : "OK") : "FAILED",
         result.seconds);
   }
@@ -190,6 +200,7 @@ json::Value report_json(const std::vector<SuiteResult>& results) {
          {"predicted_memory_full", r.report.predicted_memory_full},
          {"predicted_memory_compressed",
           r.report.predicted_memory_compressed},
+         {"predicted_kernel_memory", r.report.predicted_kernel_memory},
          {"total_regex_instructions", r.report.total_regex_instructions},
          {"trie_shared_prefix_bytes", r.report.trie.shared_prefix_bytes},
          {"regex_costs", std::move(regex_costs)},
@@ -214,19 +225,19 @@ inputs:
 
 budget knobs (0 = unlimited; same semantics as the controller's admission):
   --max-states N         predicted combined-automaton state budget
-  --max-memory BYTES     predicted engine memory budget (for the selected
-                         representation; see --compressed)
+  --max-memory BYTES     predicted resident memory budget of a regular
+                         engine (automaton and tables plus hot kernel)
   --max-regex-nfa N      per-expression Pike-VM instruction budget
   --max-regex-dfa N      per-expression DFA state budget (capped == over)
   --max-per-middlebox N  patterns per middlebox quota
   --reject-anchorless    reject regexes with no literal anchor
   --reject-unbounded     reject '*' / '+' / '{m,}' repeats
-  --compressed           budget the compressed-automaton memory model
 
 modes:
-  --calibrate            also compile each admissible suite (both automaton
-                         representations) and fail on any divergence between
-                         prediction and the real engine
+  --calibrate            also compile each admissible suite (regular and
+                         dedicated engines, and the paper's full table) and
+                         fail on any divergence between prediction and the
+                         real artifacts
   --json                 one machine-readable JSON report on stdout
 
 exit status: 0 = admissible (and calibrated), 1 = violations, 2 = usage error
@@ -249,8 +260,6 @@ int main(int argc, char** argv) {
       opt.json = true;
     } else if (arg == "--calibrate") {
       opt.calibrate = true;
-    } else if (arg == "--compressed") {
-      opt.compressed = true;
     } else if (arg == "--reject-anchorless") {
       opt.budget.reject_anchorless_regex = true;
     } else if (arg == "--reject-unbounded") {
